@@ -15,10 +15,7 @@ from repro.analysis.astutils import ModuleContext, call_name, keyword_arg
 from repro.analysis.findings import rule
 
 #: constructors whose first positional / ``key=`` argument is key material
-_KEYED_CTORS = frozenset((
-    "get_aead", "AESGCM", "PureAEAD", "ChaChaAEAD", "OpenSSLAEAD",
-    "SecurityConfig",
-))
+_KEYED_CTORS = frozenset(("get_aead", "AESGCM", "SecurityConfig"))
 
 _MIN_KEY_LEN = 16
 

@@ -18,7 +18,6 @@ from repro.analysis.astutils import (
     call_name,
     int_literals_in,
     is_rank_conditional,
-    keyword_arg,
     tag_args,
 )
 from repro.analysis.findings import rule
@@ -189,37 +188,3 @@ def check_rank_dependent_collective(mod: ModuleContext):
             yield (site, f"collective {name}() runs on only a subset of "
                          f"ranks (rank-dependent branch at line "
                          f"{node.lineno})")
-
-
-#: deprecated SecurityConfig keywords folded into CryptoPlan (the PR-6
-#: facade); crypto_mode is the one the shim still accepts
-_DEPRECATED_SECURITY_KWARGS = ("crypto_mode",)
-
-
-@rule(
-    "MPI005",
-    "deprecated crypto spelling",
-    severity="error",
-    summary="a SecurityConfig is constructed with the deprecated "
-            "crypto_mode= keyword instead of a typed CryptoPlan — the "
-            "shim keeps old callers alive but new code must not spread "
-            "the loose spelling",
-    hint="pass crypto=CryptoPlan(bytework=..., mode=..., ...) (see "
-         "repro.encmpi.plan; 'real'/'modeled' is now the plan's "
-         "bytework field)",
-    grounding="the CryptoPlan facade makes the pipelining discipline a "
-              "single frozen value that cache keys and campaign "
-              "defaults can reason about; loose keywords bypass it",
-)
-def check_deprecated_crypto_mode(mod: ModuleContext):
-    # module-wide walk: configs are typically built at module level
-    # (e.g. a _SECURITY constant), not only inside rank programs
-    for node in ast.walk(mod.tree):
-        if not isinstance(node, ast.Call) or \
-                call_name(node) != "SecurityConfig":
-            continue
-        for kw_name in _DEPRECATED_SECURITY_KWARGS:
-            if keyword_arg(node, kw_name) is not None:
-                yield (node, f"SecurityConfig({kw_name}=...) uses the "
-                             "deprecated loose spelling; build a "
-                             "CryptoPlan instead")

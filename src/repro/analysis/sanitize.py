@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
+from repro import defaults
 from repro.crypto.errors import NonceReuseError
 from repro.des.engine import DeadlockError
 
@@ -297,27 +298,8 @@ def _find_cycle(edges: dict[int, set[int]]) -> list[int]:
     return []
 
 
-# ---------------------------------------------------------------------------
-# process-wide default (how campaign --sanitize reaches fork workers)
-# ---------------------------------------------------------------------------
-
-_DEFAULT_SANITIZE = False
-
-
-def set_default_sanitize(value: bool) -> bool:
-    """Set the process-wide sanitize default; returns the previous
-    value.  The campaign runner sets this in the parent before phase 2
-    so fork workers inherit it."""
-    global _DEFAULT_SANITIZE
-    previous = _DEFAULT_SANITIZE
-    _DEFAULT_SANITIZE = bool(value)
-    return previous
-
-
-def default_sanitize() -> bool:
-    return _DEFAULT_SANITIZE
-
-
 def resolve_sanitize(value: bool | None) -> bool:
-    """None -> the process default; anything else -> bool(value)."""
-    return _DEFAULT_SANITIZE if value is None else bool(value)
+    """None -> the process-wide default (:func:`repro.defaults.current`,
+    how campaign ``--sanitize`` reaches fork workers); anything else ->
+    bool(value)."""
+    return defaults.current().sanitize if value is None else bool(value)

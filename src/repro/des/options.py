@@ -21,15 +21,16 @@ one frozen value instead of loose keywords, exactly like
 ``parse_engine_options("coroutines:max_ranks=4096")`` is the CLI string
 form, joining the ``parse_*`` spec family
 (:func:`repro.encmpi.plan.parse_crypto_plan`,
-:func:`repro.simmpi.faults.parse_fault_plan`, …), and
-:func:`set_default_engine_options` is the process-wide default hook the
-campaign/CLI use — fork-pool workers inherit it like the crypto plan.
+:func:`repro.simmpi.faults.parse_fault_plan`, …).  The process-wide
+default the campaign/CLI ``--runtime`` sets lives in
+:mod:`repro.defaults`, next to the crypto plan and the sanitize flag.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro import defaults
 from repro.des.process import RUNTIMES
 
 #: ceiling the scale experiment needs; anything above it is almost
@@ -121,34 +122,13 @@ def parse_engine_options(spec: str) -> EngineOptions:
     return EngineOptions(**kwargs)
 
 
-#: process-wide default, settable by hosts (CLI --runtime, campaigns)
-_DEFAULT_OPTIONS: EngineOptions | None = None
-
-
-def set_default_engine_options(
-    options: EngineOptions | None,
-) -> EngineOptions | None:
-    """Set the process-wide default engine options; returns the previous
-    value so callers can restore it (the campaign does)."""
-    global _DEFAULT_OPTIONS
-    if options is not None and not isinstance(options, EngineOptions):
-        raise TypeError(f"options must be EngineOptions, got {options!r}")
-    previous = _DEFAULT_OPTIONS
-    _DEFAULT_OPTIONS = options
-    return previous
-
-
-def default_engine_options() -> EngineOptions:
-    """The options a job uses when none are passed explicitly."""
-    return _DEFAULT_OPTIONS if _DEFAULT_OPTIONS is not None else EngineOptions()
-
-
 def resolve_engine_options(
     value: "EngineOptions | str | None",
 ) -> EngineOptions:
-    """Coerce an API argument (options, spec string, or None) to options."""
+    """Coerce an API argument (options, spec string, or None) to options;
+    None means the process-wide default (:func:`repro.defaults.current`)."""
     if value is None:
-        return default_engine_options()
+        return defaults.current().engine or EngineOptions()
     if isinstance(value, str):
         return parse_engine_options(value)
     if isinstance(value, EngineOptions):

@@ -3,7 +3,7 @@
 Every outgoing message is framed as ``nonce || Enc(K, nonce, M)`` —
 ℓ+28 bytes on the wire — and every incoming message is parsed and
 decrypted, per Algorithm 1.  The configured library's calibrated cost
-is charged to the rank's core; in ``crypto_mode="real"`` the AEAD work
+is charged to the rank's core; under ``bytework="real"`` the AEAD work
 is additionally performed on the actual bytes, so tampering anywhere in
 the simulated fabric is detected exactly as on the paper's clusters.
 """
@@ -196,7 +196,7 @@ class EncryptedComm:
             c.aead_seals += 1
             c.bytes_sealed += len(plaintext)
             c.nonces_consumed += 1
-        if self.config.crypto_mode == "real":
+        if self.config.crypto.bytework == "real":
             return nonce + self._aead.seal(nonce, plaintext, aad)
         # Modeled: time already charged; ship the plaintext inside a
         # zero-copy frame whose length accounting is the real ℓ+28 (see
@@ -223,7 +223,7 @@ class EncryptedComm:
                 plain = wire.base
             else:
                 nonce, body = wire[:NONCE_SIZE], wire[NONCE_SIZE:]
-                if self.config.crypto_mode == "real":
+                if self.config.crypto.bytework == "real":
                     plain = self._aead.open(nonce, body, aad)
                 else:
                     plain = body[:-16]
@@ -304,7 +304,7 @@ class EncryptedComm:
                 c.aead_seals += 1
                 c.bytes_sealed += len(plaintext)
                 c.nonces_consumed += 1
-            if self.config.crypto_mode == "real":
+            if self.config.crypto.bytework == "real":
                 return nonce + self._aead.seal(nonce, plaintext, aad), dur
             return OpaquePayload(nonce, plaintext, bytes(16)), dur
 

@@ -167,7 +167,7 @@ class PipelinedCrypto:
     # -- chunked framing (nonce per chunk) -------------------------------
 
     def _frame(self, data: bytes):
-        if self.enc.config.crypto_mode != "real":
+        if self.enc.config.crypto.bytework != "real":
             from repro.simmpi.message import OpaquePayload
 
             return OpaquePayload(self._consume_nonce(), data, bytes(16))
@@ -180,7 +180,7 @@ class PipelinedCrypto:
         return b"".join(parts)
 
     def _unframe(self, wire) -> bytes:
-        if self.enc.config.crypto_mode != "real":
+        if self.enc.config.crypto.bytework != "real":
             from repro.simmpi.message import OpaquePayload
 
             if isinstance(wire, OpaquePayload):

@@ -120,58 +120,6 @@ def experiment_config_digest(
     return _digest(doc)
 
 
-def _network_token(network: Any) -> str:
-    """Canonical cache-key spelling of any ``network=`` argument."""
-    if isinstance(network, str):
-        from repro.models.network import parse_network_spec
-
-        return parse_network_spec(network).token()
-    if hasattr(network, "token"):  # FabricSpec
-        return network.token()
-    return network.name  # NetworkModel / NoiseModel
-
-
-def job_config_digest(
-    workload: Callable,
-    *,
-    nranks: int,
-    network: Any = "ethernet",
-    security: Any = None,
-    placement: str = "block",
-    cluster: Any = None,
-    engine: Any = None,
-) -> str:
-    """Config digest of one simulated-job cell (the :func:`repro.api`
-    argument surface).  Any change to the security config, fabric, rank
-    count, placement, cluster shape, engine options, or the workload's
-    own source flips the digest — the cache-miss conditions the tests
-    pin."""
-    try:
-        import inspect
-
-        src = hashlib.sha256(inspect.getsource(workload).encode()).hexdigest()
-    except (OSError, TypeError):
-        code = getattr(workload, "__code__", None)
-        src = hashlib.sha256(code.co_code).hexdigest() if code else "opaque"
-    return _digest(
-        {
-            "kind": "job",
-            "workload": f"{getattr(workload, '__module__', '?')}:"
-            f"{getattr(workload, '__qualname__', repr(workload))}",
-            "workload_src": src,
-            "nranks": nranks,
-            # FabricSpec/NoiseModel carry their canonical token (a clean
-            # spec tokens to the bare name, so historical keys survive);
-            # a noisy fabric therefore always gets its own cache key.
-            "network": _network_token(network),
-            "security": _jsonable(security),
-            "placement": placement,
-            "cluster": cluster.token() if hasattr(cluster, "token") else _jsonable(cluster),
-            "engine": engine.token() if engine is not None else None,
-        }
-    )
-
-
 def cell_key(exp_id: str, config_digest: str, fingerprint: str) -> str:
     """The content address of one cell's result."""
     return hashlib.sha256(
@@ -390,25 +338,25 @@ def run_campaign(
     cells finish (completion order — with ``jobs=1`` that is selection
     order).  Failures never raise; they surface as ``failed`` cells.
 
-    *sanitize* sets the process-wide sanitize default
-    (:func:`repro.analysis.sanitize.set_default_sanitize`) for the
-    duration of the executing phase, so every simulated job inside
-    every runner — including fork-pool workers, which inherit the flag
-    — runs with the runtime sanitizer armed.  Sanitizer failures
-    surface as failed cells like any other runner exception.  Note
-    that cache hits skip runners entirely and therefore skip the
-    sanitizer; pass ``cache=False`` for a full sanitized sweep.
+    *sanitize*, *crypto* and *engine* are installed together as the
+    process-wide :class:`repro.defaults.RunDefaults` for the duration
+    of the executing phase (and restored afterwards), so every
+    simulated job inside every runner — including fork-pool workers,
+    which inherit the value — runs under them.
 
-    *crypto* (a :class:`repro.encmpi.plan.CryptoPlan`) sets the
-    process-wide default plan for the executing phase — fork-pool
-    workers inherit it, exactly like the sanitize flag — and salts
-    every cell's cache key with the plan's token.
+    *sanitize* arms the runtime sanitizer.  Sanitizer failures surface
+    as failed cells like any other runner exception.  Note that cache
+    hits skip runners entirely and therefore skip the sanitizer; pass
+    ``cache=False`` for a full sanitized sweep.
+
+    *crypto* (a :class:`repro.encmpi.plan.CryptoPlan`) is the default
+    plan's pipeline geometry; it salts every cell's cache key with the
+    plan's token.
 
     *engine* (an :class:`repro.des.options.EngineOptions`, or its spec
-    string, e.g. ``"coroutines"``) sets the process-wide default engine
-    options the same way — every simulated job in every runner executes
-    on that runtime — and salts every cell's cache key with the
-    options' token (``make check-runtime-parity`` relies on the two
+    string, e.g. ``"coroutines"``) is the rank runtime of every
+    simulated job in every runner; it salts every cell's cache key with
+    the options' token (``make check-runtime-parity`` relies on the two
     runtimes occupying distinct cache entries).
     """
     t0 = time.perf_counter()
@@ -571,18 +519,12 @@ def run_campaign(
 
     # -- phase 2: execute the rest -----------------------------------------
     if pending:
-        from repro.analysis.sanitize import set_default_sanitize
-        from repro.des.options import set_default_engine_options
-        from repro.encmpi.plan import set_default_crypto_plan
+        from repro import defaults
 
-        # Set before any worker forks so children inherit the flag;
-        # restored afterwards so the flag never leaks past the campaign.
-        prev_sanitize = set_default_sanitize(sanitize)
-        prev_crypto = set_default_crypto_plan(crypto) if crypto is not None \
-            else None
-        prev_engine = set_default_engine_options(engine) if engine is not None \
-            else None
-        try:
+        # Installed before any worker forks so children inherit the
+        # defaults; restored afterwards so they never leak past the
+        # campaign, even when a cell raises.
+        with defaults.use(crypto=crypto, engine=engine, sanitize=sanitize):
             if jobs == 1 or len(pending) == 1:
                 for i, exp in pending:
                     if on_start is not None:
@@ -607,12 +549,6 @@ def run_campaign(
                         for fut in done:
                             record(outcome_from_execution(
                                 futures[fut], fut.result()))
-        finally:
-            set_default_sanitize(prev_sanitize)
-            if crypto is not None:
-                set_default_crypto_plan(prev_crypto)
-            if engine is not None:
-                set_default_engine_options(prev_engine)
 
     manifest_doc["finished"] = time.time()
     if manifest_path:

@@ -24,7 +24,7 @@ class OpaquePayload:
     *each of p ranks* — distributed over the cluster's memory.  The
     simulator hosts every rank in one process, so naively framing a
     4 MB chunk per destination per rank would need p² × 4 MB (~17 GB at
-    p = 64).  In ``crypto_mode="modeled"`` the frame therefore *shares*
+    p = 64).  Under ``bytework="modeled"`` the frame therefore *shares*
     the plaintext object and only virtually prepends the nonce and
     appends the tag: length accounting (and hence all timing) sees the
     full ℓ+28 bytes, while memory holds one plaintext.

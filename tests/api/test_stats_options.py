@@ -1,7 +1,5 @@
-"""StatsSpec through the facade: repetition determinism, the
-repetitions= shim, and the loose-kwarg/options= exclusivity rule."""
-
-import warnings
+"""StatsSpec through the facade: repetition determinism, a fresh fault
+injector per repetition, and sweeps of repeated cells."""
 
 import pytest
 
@@ -9,6 +7,7 @@ from repro import api
 from repro.experiments.stats import StatsSpec
 from repro.models.cpu import ClusterSpec
 from repro.models.network import FabricSpec
+from repro.simmpi.faults import FaultPlan
 from repro.simmpi.resilience import ResiliencePolicy
 from repro.simmpi.tracing import TraceRecorder
 
@@ -28,13 +27,6 @@ def _exchange_many(ctx):
             ctx.comm.recv(0, TAG_EXCHANGE)
             ctx.comm.send(bytes([i]) * 128, 0, tag=TAG_EXCHANGE)
     return ctx.now
-
-
-@pytest.fixture(autouse=True)
-def _fresh_warning_ledger():
-    api._warned.clear()
-    yield
-    api._warned.clear()
 
 
 def _noisy_job(**kwargs):
@@ -82,38 +74,16 @@ def test_clean_fabric_reps_are_identical_samples():
     assert job.stats.estimate.halfwidth == 0.0
 
 
-def test_repetitions_kwarg_shim_warns_once_and_matches_stats():
-    with pytest.warns(DeprecationWarning, match="repetitions"):
-        shimmed = _noisy_job(repetitions=3)
-    direct = _noisy_job(stats=StatsSpec(reps=3))
-    assert shimmed.stats == direct.stats
-    assert shimmed.duration == direct.duration
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # second use: shim stays silent
-        _noisy_job(repetitions=2)
-
-
-def test_repetitions_and_stats_together_is_an_error():
-    with pytest.raises(TypeError, match="not both"), \
-            pytest.warns(DeprecationWarning):
-        _noisy_job(stats=StatsSpec(reps=3), repetitions=3)
-
-
-def test_stats_kwarg_conflicts_with_options_bundle():
-    with pytest.raises(TypeError, match="not both"):
-        api.run_job(
-            _exchange_many, nranks=2, cluster=CLUSTER,
-            stats=StatsSpec(reps=2), options=api.RunOptions(),
-        )
-
-
-def test_options_bundle_carries_stats():
-    bundled = api.run_job(
-        _exchange_many, nranks=2, cluster=CLUSTER, network=NOISY,
-        options=api.RunOptions(stats=StatsSpec(reps=3), resilience=POLICY),
+def test_fault_plan_rebuilt_per_repetition():
+    """Each repetition faces its own seeded injector: on a clean fabric
+    the repetitions are independent copies of one run."""
+    job = api.run_job(
+        _exchange_many, nranks=2, cluster=CLUSTER, network="ethernet",
+        faults=FaultPlan(drop=0.25, seed=5), resilience=POLICY,
+        stats=StatsSpec(reps=3),
     )
-    loose = _noisy_job(stats=StatsSpec(reps=3))
-    assert bundled.stats == loose.stats
+    assert job.resilience.retransmits > 0
+    assert len(set(job.stats.samples)) == 1
 
 
 def test_shared_trace_recorder_rejected_across_reps():

@@ -1,10 +1,9 @@
 """sweep() fault injection and parallel-grid semantics.
 
-PR 1's sweep silently accepted no fault injector at all (the keyword
-existed only on run_job); these tests pin the repaired surface: the
-keyword is forwarded per cell, one injector instance is never shared
-across cells (mirroring the TraceRecorder rule), and a factory form
-gives each cell a fresh adversary.
+A :class:`FaultPlan` is the one way to inject faults: it is forwarded
+to every cell, each cell builds its own seeded injector from it (a
+fresh adversary per cell), and anything else — a raw injector or a
+zero-argument factory — fails loudly before any rank runs.
 """
 
 import pytest
@@ -12,10 +11,13 @@ import pytest
 from repro import api
 from repro.crypto.errors import AuthenticationError
 from repro.models.cpu import ClusterSpec
-from repro.simmpi.faults import FaultAction, FaultInjector, target_route
+from repro.simmpi.faults import FaultAction, FaultInjector, FaultPlan, target_route
 
 CLUSTER = ClusterSpec(nodes=2, cores_per_node=4)
-SECURITY = api.SecurityConfig(nonce_strategy="counter", crypto_mode="real")
+SECURITY = api.SecurityConfig(nonce_strategy="counter",
+                              crypto=api.CryptoPlan(bytework="real"))
+#: flip one ciphertext bit of every rank 0 -> rank 1 message
+CORRUPT = FaultPlan(corrupt=1.0, src=0, dst=1, corrupt_bit=300)
 
 
 def _enc_exchange(ctx):
@@ -35,9 +37,8 @@ def _corrupting_factory():
 
 
 def test_sweep_cell_records_auth_fail_events():
-    """The regression the satellite names: a sweep cell under fault
-    injection must actually reject the tampered message and record the
-    auth_fail event in its trace."""
+    """A sweep cell under fault injection must actually reject the
+    tampered message and record the auth_fail event in its trace."""
     points = api.sweep(
         _enc_exchange,
         nranks=2,
@@ -45,7 +46,7 @@ def test_sweep_cell_records_auth_fail_events():
         securities=(SECURITY,),
         cluster=CLUSTER,
         trace="events",
-        fault_injector=_corrupting_factory,
+        faults=CORRUPT,
     )
     assert len(points) == 2
     for point in points:
@@ -54,53 +55,44 @@ def test_sweep_cell_records_auth_fail_events():
         assert fail.rank == 1
 
 
-def test_sweep_rejects_one_injector_instance_across_cells():
-    with pytest.raises(ValueError, match="factory"):
-        api.sweep(
-            _enc_exchange,
-            nranks=2,
-            networks=("ethernet", "infiniband"),
-            securities=(SECURITY,),
-            cluster=CLUSTER,
-            fault_injector=_corrupting_factory(),
-        )
+@pytest.mark.parametrize("entry", ["run_job", "sweep"])
+@pytest.mark.parametrize("faults", [_corrupting_factory(), _corrupting_factory],
+                         ids=["injector", "factory"])
+def test_faults_must_be_a_fault_plan(entry, faults):
+    with pytest.raises(TypeError) as err:
+        getattr(api, entry)(_enc_exchange, nranks=2, cluster=CLUSTER,
+                            faults=faults)
+    assert "FaultPlan" in str(err.value)
+    assert "parse_fault_plan" in str(err.value)
 
 
-def test_sweep_accepts_one_injector_instance_for_one_cell():
-    injector = _corrupting_factory()
+def test_sweep_builds_one_injector_per_cell(monkeypatch):
+    built = []
+    build = FaultPlan.build
+
+    def counting_build(plan):
+        injector = build(plan)
+        built.append(injector)
+        return injector
+
+    monkeypatch.setattr(FaultPlan, "build", counting_build)
     points = api.sweep(
-        _enc_exchange,
-        nranks=2,
-        securities=(SECURITY,),
-        cluster=CLUSTER,
-        fault_injector=injector,
-    )
-    assert points[0].result.results == ["sent", "rejected"]
-    assert injector.injected[FaultAction.CORRUPT] == 1  # ledger usable
-
-
-def test_sweep_factory_is_invoked_once_per_cell():
-    made = []
-
-    def counting_factory():
-        made.append(1)
-        return _corrupting_factory()
-
-    api.sweep(
         _enc_exchange,
         nranks=2,
         networks=("ethernet", "infiniband"),
         securities=(SECURITY,),
         cluster=CLUSTER,
-        fault_injector=counting_factory,
+        faults=CORRUPT,
     )
-    assert len(made) == 2
+    assert [p.result.results for p in points] == [["sent", "rejected"]] * 2
+    assert len(built) == 2 and built[0] is not built[1]
+    assert [i.injected[FaultAction.CORRUPT] for i in built] == [1, 1]
 
 
 def test_sweep_rejects_non_injector_non_factory():
-    with pytest.raises(TypeError, match="fault_injector"):
+    with pytest.raises(TypeError, match="FaultPlan"):
         api.sweep(_enc_exchange, nranks=2, securities=(SECURITY,),
-                  cluster=CLUSTER, fault_injector="corrupt-everything")
+                  cluster=CLUSTER, faults="corrupt-everything")
 
 
 def test_parallel_sweep_matches_serial_byte_for_byte():
@@ -134,13 +126,15 @@ def test_parallel_sweep_matches_serial_byte_for_byte():
 
 
 def test_parallel_sweep_with_faults_uses_fresh_injector_per_cell():
-    points = api.sweep(
-        _enc_exchange,
+    kwargs = dict(
         nranks=2,
         networks=("ethernet", "infiniband"),
         securities=(SECURITY,),
         cluster=CLUSTER,
-        parallel=2,
-        fault_injector=_corrupting_factory,
+        faults=CORRUPT,
     )
+    serial = api.sweep(_enc_exchange, **kwargs)
+    points = api.sweep(_enc_exchange, parallel=2, **kwargs)
     assert [p.result.results for p in points] == [["sent", "rejected"]] * 2
+    assert [p.result.duration for p in points] == \
+        [p.result.duration for p in serial]

@@ -10,13 +10,12 @@ alternatives, and the whole surface is re-exported from
 import pytest
 
 import repro.api as api
+from repro import defaults
 from repro.des.options import (
     DEFAULT_MAX_RANKS,
     EngineOptions,
-    default_engine_options,
     parse_engine_options,
     resolve_engine_options,
-    set_default_engine_options,
 )
 from repro.des.process import RUNTIMES
 
@@ -97,20 +96,10 @@ def test_parse_bad_int_and_bad_bool():
         parse_engine_options("auto:handoff_check=maybe")
 
 
-# -------------------------------------------------- defaults and resolution
-
-def test_default_engine_options_set_and_restore():
-    ours = EngineOptions(runtime="coroutines")
-    prev = set_default_engine_options(ours)
-    try:
-        assert default_engine_options() is ours
-        assert resolve_engine_options(None) is ours
-    finally:
-        set_default_engine_options(prev)
-    assert default_engine_options() == EngineOptions()
-
+# ------------------------------------------------------------- resolution
 
 def test_resolve_coerces_strings_and_rejects_junk():
+    assert resolve_engine_options(None) == EngineOptions()
     assert resolve_engine_options("threads").runtime == "threads"
     opts = EngineOptions(runtime="coroutines")
     assert resolve_engine_options(opts) is opts
@@ -118,35 +107,17 @@ def test_resolve_coerces_strings_and_rejects_junk():
         resolve_engine_options(42)
 
 
+def test_default_engine_options_set_and_restore():
+    ours = EngineOptions(runtime="coroutines")
+    with defaults.use(engine=ours):
+        assert defaults.current().engine is ours
+        assert resolve_engine_options(None) is ours
+    assert defaults.current().engine is None
+    assert resolve_engine_options(None) == EngineOptions()
+
+
 def test_set_default_rejects_non_options():
-    with pytest.raises(TypeError):
-        set_default_engine_options("coroutines")
-
-
-# ------------------------------------------------------- RunOptions folding
-
-def test_run_options_coerces_engine_spec_string():
-    opts = api.RunOptions(engine="coroutines:max_ranks=64")
-    assert opts.engine == EngineOptions(runtime="coroutines", max_ranks=64)
-
-
-def test_run_options_rejects_non_engine_values():
-    with pytest.raises(TypeError):
-        api.RunOptions(engine=8)
-
-
-def test_loose_runtime_kwarg_warns_once_and_folds():
-    import warnings
-
-    from repro.api import _warned
-
-    _warned.discard("runtime")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = api.run_job(_two_rank_noop, nranks=2, runtime="coroutines")
-    assert result.duration >= 0.0
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-
-
-def _two_rank_noop(ctx):
-    yield from ctx.comm.co_barrier()
+    with pytest.raises(TypeError, match="EngineOptions"):
+        with defaults.use(engine="coroutines"):
+            pass
+    assert defaults.current().engine is None

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.encmpi import EncryptedComm, SecurityConfig
+from repro.encmpi import CryptoPlan, EncryptedComm, SecurityConfig
 from repro.encmpi.keyexchange import establish_session_key
 from repro.encmpi.pipeline import PipelinedCrypto, plan_pipeline
 from repro.encmpi.replay import ReplayError, ReplayGuard, counter_of_nonce
@@ -286,7 +286,7 @@ def test_pipelined_send_recv_roundtrip(mode):
     payload = bytes(range(256)) * 1024  # 256 KiB
 
     def prog(ctx):
-        enc = EncryptedComm(ctx, SecurityConfig(crypto_mode=mode))
+        enc = EncryptedComm(ctx, SecurityConfig(crypto=CryptoPlan(bytework=mode)))
         pipe = PipelinedCrypto(enc, chunk_bytes=64 * 1024)
         if ctx.rank == 0:
             plan = pipe.send(payload, 1)
@@ -305,7 +305,7 @@ def test_pipelined_faster_than_serial_on_idle_node():
     times = {}
 
     def serial(ctx):
-        enc = EncryptedComm(ctx, SecurityConfig(crypto_mode="modeled"))
+        enc = EncryptedComm(ctx, SecurityConfig(crypto=CryptoPlan(bytework="modeled")))
         if ctx.rank == 0:
             t0 = ctx.now
             enc.send(b"z" * size, 1)
@@ -314,7 +314,7 @@ def test_pipelined_faster_than_serial_on_idle_node():
             enc.recv(0)
 
     def pipelined(ctx):
-        enc = EncryptedComm(ctx, SecurityConfig(crypto_mode="modeled"))
+        enc = EncryptedComm(ctx, SecurityConfig(crypto=CryptoPlan(bytework="modeled")))
         pipe = PipelinedCrypto(enc)
         if ctx.rank == 0:
             t0 = ctx.now

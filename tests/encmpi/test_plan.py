@@ -1,28 +1,20 @@
 """The CryptoPlan facade: validation, the CLI string form, the
-process-wide default, and the SecurityConfig migration shims.
+process-wide default's geometry overlay, and how SecurityConfig
+reconciles its library with the plan's.
 
-The redesign's contract mirrors the RunOptions one: the frozen typed
-plan is equivalent to the loose ``crypto_mode=`` spelling it replaces,
-the deprecated spelling warns exactly once per process, and conflicting
-combinations are errors, not silent precedence.
+Conflicting combinations are errors, not silent precedence.
 """
-
-import warnings
 
 import pytest
 
+from repro import defaults
 from repro.encmpi import CryptoPlan, SecurityConfig, parse_crypto_plan
-from repro.encmpi import plan as plan_mod
 
 
 @pytest.fixture(autouse=True)
-def _fresh_plan_state():
-    """Each test sees the one-shot warnings anew and no default plan."""
-    plan_mod._warned.clear()
-    prev = plan_mod.set_default_crypto_plan(None)
-    yield
-    plan_mod._warned.clear()
-    plan_mod.set_default_crypto_plan(prev)
+def _no_default_plan():
+    with defaults.use():
+        yield
 
 
 def test_default_plan_is_the_papers_serial_discipline():
@@ -86,10 +78,10 @@ def test_parse_errors_name_the_valid_forms(spec, match):
 
 
 def test_default_plan_overlays_geometry_only():
-    plan_mod.set_default_crypto_plan(
-        parse_crypto_plan("cryptmpi:chunk=128k,cores=2,library=openssl")
-    )
-    cfg = SecurityConfig(library="cryptopp", crypto=None)
+    with defaults.use(crypto=parse_crypto_plan(
+            "cryptmpi:chunk=128k,cores=2,library=openssl")):
+        cfg = SecurityConfig(library="cryptopp", crypto=None)
+        pinned = SecurityConfig(crypto=CryptoPlan())
     # geometry follows the default; library/bytework stay the config's
     assert cfg.crypto.mode == "cryptmpi"
     assert cfg.crypto.chunk_bytes == 128 * 1024
@@ -97,42 +89,21 @@ def test_default_plan_overlays_geometry_only():
     assert cfg.crypto.library == "cryptopp"
     assert cfg.crypto.bytework == "real"
     # an explicit plan bypasses the process-wide default entirely
-    pinned = SecurityConfig(crypto=CryptoPlan())
     assert pinned.crypto == CryptoPlan()
 
 
 def test_set_default_plan_returns_previous_and_typechecks():
     first = parse_crypto_plan("cryptmpi")
-    assert plan_mod.set_default_crypto_plan(first) is None
-    assert plan_mod.set_default_crypto_plan(None) == first
+    assert defaults.current().crypto is None
+    with defaults.use(crypto=first) as installed:
+        assert installed.crypto == first
+        assert defaults.current() is installed
+    # leaving the block brings the previous value back
+    assert defaults.current().crypto is None
     with pytest.raises(TypeError, match="CryptoPlan"):
-        plan_mod.set_default_crypto_plan("cryptmpi")
-
-
-def test_deprecated_crypto_mode_equals_new_spelling():
-    with pytest.warns(DeprecationWarning, match="crypto_mode"):
-        old = SecurityConfig(library="openssl", crypto_mode="modeled")
-    new = SecurityConfig(
-        crypto=CryptoPlan(library="openssl", bytework="modeled")
-    )
-    assert old == new
-    assert old.crypto_mode == "modeled"  # the read-only mirror survives
-
-
-def test_deprecated_crypto_mode_warns_exactly_once():
-    with pytest.warns(DeprecationWarning):
-        SecurityConfig(crypto_mode="real")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        SecurityConfig(crypto_mode="real")  # ledger already holds it
-
-
-def test_conflicting_bytework_spellings_are_an_error():
-    with pytest.raises(ValueError, match="conflicting byte-work"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            SecurityConfig(crypto_mode="real",
-                           crypto=CryptoPlan(bytework="modeled"))
+        with defaults.use(crypto="cryptmpi"):
+            pass
+    assert defaults.current().crypto is None
 
 
 def test_conflicting_libraries_are_an_error():

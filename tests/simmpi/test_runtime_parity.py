@@ -12,7 +12,8 @@ threads-only constraint).
 import pytest
 
 import repro.api as api
-from repro.des.options import EngineOptions, set_default_engine_options
+from repro import defaults
+from repro.des.options import EngineOptions
 from repro.experiments import goldens
 from repro.models.cpu import parse_cluster_spec
 from repro.simmpi.world import run_program
@@ -23,11 +24,8 @@ CLUSTER = parse_cluster_spec("2x4")
 @pytest.fixture(params=["threads", "coroutines"])
 def runtime(request):
     """Run the test body once per runtime via the process-wide default."""
-    prev = set_default_engine_options(EngineOptions(runtime=request.param))
-    try:
+    with defaults.use(engine=EngineOptions(runtime=request.param)):
         yield request.param
-    finally:
-        set_default_engine_options(prev)
 
 
 def _force(runtime_name: str):
@@ -39,16 +37,10 @@ def _force(runtime_name: str):
 @pytest.mark.parametrize("name", sorted(goldens.GOLDEN_RUNS))
 def test_golden_digests_identical_across_runtimes(name):
     """The strongest parity check: full structured event streams."""
-    prev = set_default_engine_options(_force("threads"))
-    try:
+    with defaults.use(engine=_force("threads")):
         threads = goldens.run_golden(name)
-    finally:
-        set_default_engine_options(prev)
-    prev = set_default_engine_options(_force("coroutines"))
-    try:
+    with defaults.use(engine=_force("coroutines")):
         coros = goldens.run_golden(name)
-    finally:
-        set_default_engine_options(prev)
     assert threads.canonical_lines() == coros.canonical_lines()
     assert threads.digest() == coros.digest()
 
@@ -100,7 +92,7 @@ def test_encrypted_job_identical_on_both_runtimes(runtime):
     result = api.run_job(
         _co_enc_exchange, nranks=2,
         security=api.SecurityConfig(library="boringssl"),
-        options=api.RunOptions(cluster=CLUSTER),
+        cluster=CLUSTER,
     )
     # virtual time must not depend on the runtime: compare against the
     # values the other runtime parameter of this fixture produces
@@ -160,5 +152,5 @@ def test_cryptmpi_pipeline_requires_threads():
         api.run_job(
             program, nranks=2,
             security=api.SecurityConfig(library="boringssl", crypto=plan),
-            options=api.RunOptions(cluster=parse_cluster_spec("2x8")),
+            cluster=parse_cluster_spec("2x8"),
         )

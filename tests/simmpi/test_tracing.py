@@ -36,10 +36,10 @@ def test_p2p_traffic_recorded():
 
 
 def test_wire_overhead_fraction_tracks_encryption():
-    from repro.encmpi import EncryptedComm, SecurityConfig
+    from repro.encmpi import CryptoPlan, EncryptedComm, SecurityConfig
 
     def prog(ctx):
-        enc = EncryptedComm(ctx, SecurityConfig(crypto_mode="modeled"))
+        enc = EncryptedComm(ctx, SecurityConfig(crypto=CryptoPlan(bytework="modeled")))
         if ctx.rank == 0:
             enc.send(b"z" * 1000, 1)
         else:
