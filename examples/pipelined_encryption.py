@@ -20,7 +20,7 @@ Run:  python examples/pipelined_encryption.py
 # verify-sizes: 2  (sender/receiver pair; the pipeline study is 1-to-1)
 
 from repro.encmpi import CryptoPlan, EncryptedComm, SecurityConfig
-from repro.encmpi.pipeline import PipelinedCrypto, plan_pipeline
+from repro.encmpi.pipeline import plan_pipeline
 from repro.models.cpu import parse_cluster_spec
 from repro.models.cryptolib import get_profile
 from repro.simmpi import run_program
@@ -67,22 +67,6 @@ def pipelined(chunk):
     return job
 
 
-def estimated(chunk):
-    """The pre-plan static estimator (PipelinedCrypto), kept for the
-    back-of-envelope wave arithmetic."""
-
-    def job(ctx):
-        enc = EncryptedComm(ctx, SecurityConfig(crypto=CryptoPlan(bytework="modeled")))
-        pipe = PipelinedCrypto(enc, chunk_bytes=chunk)
-        if ctx.rank == 0:
-            pipe.send(b"z" * SIZE, 1, tag=0)
-            return ctx.now
-        pipe.recv(0, 0)
-        return ctx.now
-
-    return job
-
-
 def main() -> None:
     t_base = run_program(2, baseline, network="infiniband", cluster=CLUSTER).results[1]
     t_serial = run_program(2, serial, network="infiniband", cluster=CLUSTER).results[1]
@@ -95,12 +79,8 @@ def main() -> None:
         t = run_program(
             2, pipelined(chunk), network="infiniband", cluster=CLUSTER
         ).results[1]
-        t_est = run_program(
-            2, estimated(chunk), network="infiniband", cluster=CLUSTER
-        ).results[1]
         print(f"  chunk {str(chunk // KiB).rjust(4)}KB: {format_time(t)} "
-              f"(+{(t / t_base - 1) * 100:5.1f}% vs baseline; "
-              f"static estimate {format_time(t_est)})")
+              f"(+{(t / t_base - 1) * 100:5.1f}% vs baseline)")
 
     profile = get_profile("boringssl", "mvapich")
     plan = plan_pipeline(profile, SIZE, cores=8, chunk_bytes=256 * KiB)

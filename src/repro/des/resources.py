@@ -108,10 +108,6 @@ class WorkPool:
         return self._busy
 
     @property
-    def idle(self) -> int:
-        return max(0, self.capacity - self._busy - len(self._queue))
-
-    @property
     def queued(self) -> int:
         return len(self._queue)
 

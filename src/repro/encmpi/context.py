@@ -174,12 +174,6 @@ class EncryptedComm:
     # framing
     # ------------------------------------------------------------------
 
-    def _encrypt_charged(self, plaintext: bytes, aad: bytes = b"") -> bytes:
-        """Blocking spelling of :meth:`_co_encrypt_charged`."""
-        return run_blocking(
-            self.ctx._scheduler, self._co_encrypt_charged(plaintext, aad)
-        )
-
     def _co_encrypt_charged(self, plaintext: bytes, aad: bytes = b""):
         """Charge virtual encryption time and frame the message."""
         dur = self.profile.encrypt_time(len(plaintext), self.crypto_slowdown)
@@ -329,19 +323,15 @@ class EncryptedComm:
     # ------------------------------------------------------------------
 
     def isend(self, data: bytes, dest: int, tag: int = 0):
-        if self._pipe is not None:
-            return self._pipe.isend(bytes(data), dest, tag)
-        return run_blocking(
-            self.ctx._scheduler, self._co_isend_serial(data, dest, tag)
-        )
+        """Blocking spelling of :meth:`co_isend`."""
+        return run_blocking(self.ctx._scheduler, self.co_isend(data, dest, tag))
 
     def co_isend(self, data: bytes, dest: int, tag: int = 0):
-        """Generator form of :meth:`isend` (serial plans only)."""
-        self._check_not_pipelined("co_isend")
-        return (yield from self._co_isend_serial(data, dest, tag))
-
-    def _co_isend_serial(self, data: bytes, dest: int, tag: int = 0):
+        """Encrypted_ISend: seal (chunk-pipelined under a cryptmpi
+        plan), post, and return the request without waiting for it."""
         data = bytes(data)
+        if self._pipe is not None:
+            return (yield from self._pipe.isend(data, dest, tag))
         aad = self._aad_for_peer(self.rank, tag)
         wire = yield from self._co_encrypt_charged(data, aad)
         self.messages_sent += 1
@@ -354,16 +344,8 @@ class EncryptedComm:
         )
         return EncryptedRequest(inner, self, "send")
 
-    def _check_not_pipelined(self, op: str) -> None:
-        if self._pipe is not None:
-            raise RuntimeError(
-                f"{op}: CryptoPlan(mode='cryptmpi') chunk pipelining needs "
-                "the threads runtime; run with EngineOptions("
-                "runtime='threads') or the blocking API"
-            )
-
     def send(self, data: bytes, dest: int, tag: int = 0) -> None:
-        self.isend(data, dest, tag).wait()
+        run_blocking(self.ctx._scheduler, self.co_send(data, dest, tag))
 
     def co_send(self, data: bytes, dest: int, tag: int = 0):
         req = yield from self.co_isend(data, dest, tag)
@@ -377,19 +359,15 @@ class EncryptedComm:
         return EncryptedRequest(inner, self, "recv", source=source, tag=tag)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> tuple[bytes, object]:
-        req = self.irecv(source, tag)
-        data = req.wait()
-        return data, req.status
+        return run_blocking(self.ctx._scheduler, self.co_recv(source, tag))
 
     def co_recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        self._check_not_pipelined("co_recv")
         req = self.irecv(source, tag)
         data = yield from req.co_wait()
         return data, req.status
 
-    @staticmethod
-    def waitall(requests: list[EncryptedRequest]) -> list:
-        return [r.wait() for r in requests]
+    def waitall(self, requests: list[EncryptedRequest]) -> list:
+        return run_blocking(self.ctx._scheduler, self.co_waitall(requests))
 
     @staticmethod
     def co_waitall(requests: list[EncryptedRequest]):
@@ -406,11 +384,10 @@ class EncryptedComm:
         sendtag: int = 0,
         recvtag: int = ANY_TAG,
     ) -> tuple[bytes, object]:
-        rreq = self.irecv(recvsource, recvtag)
-        sreq = self.isend(senddata, dest, sendtag)
-        data = rreq.wait()
-        sreq.wait()
-        return data, rreq.status
+        return run_blocking(
+            self.ctx._scheduler,
+            self.co_sendrecv(senddata, dest, recvsource, sendtag, recvtag),
+        )
 
     def co_sendrecv(
         self,
@@ -420,7 +397,6 @@ class EncryptedComm:
         sendtag: int = 0,
         recvtag: int = ANY_TAG,
     ):
-        self._check_not_pipelined("co_sendrecv")
         rreq = self.irecv(recvsource, recvtag)
         sreq = yield from self.co_isend(senddata, dest, sendtag)
         data = yield from rreq.co_wait()

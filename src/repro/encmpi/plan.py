@@ -134,9 +134,22 @@ def parse_crypto_plan(spec: str) -> CryptoPlan:
             )
         seen.add(key)
         if key == "chunk":
-            kwargs["chunk_bytes"] = parse_size(value)
+            try:
+                kwargs["chunk_bytes"] = parse_size(value)
+            except ValueError:
+                raise ValueError(
+                    f"crypto option chunk must be a size like '256k', "
+                    f"got {value!r}"
+                ) from None
         elif key == "cores":
-            kwargs["helper_cores"] = None if value == "auto" else int(value)
+            try:
+                kwargs["helper_cores"] = None if value == "auto" \
+                    else int(value)
+            except ValueError:
+                raise ValueError(
+                    f"crypto option cores must be an integer or 'auto', "
+                    f"got {value!r}"
+                ) from None
         elif key == "library":
             kwargs["library"] = value
         elif key == "bytework":

@@ -222,14 +222,20 @@ def parse_fault_plan(spec: str) -> FaultPlan:
                 "at most once"
             )
         if key in ("drop", "corrupt", "duplicate"):
-            kwargs[key] = float(value)
+            convert, expected = float, "a rate like '0.05'"
         elif key in ("seed", "src", "dst", "tag", "corrupt_bit"):
-            kwargs[key] = int(value)
+            convert, expected = int, "an integer"
         else:
             raise ValueError(
                 f"unknown fault option {key!r}; valid: drop, corrupt, "
                 "duplicate, seed, src, dst, tag, corrupt_bit"
             )
+        try:
+            kwargs[key] = convert(value)
+        except ValueError:
+            raise ValueError(
+                f"fault option {key} must be {expected}, got {value!r}"
+            ) from None
     return FaultPlan(**kwargs)
 
 

@@ -126,16 +126,23 @@ def parse_resilience_policy(spec: str) -> ResiliencePolicy:
                 "already given (aliases count as the same key)"
             )
         if key in ("max_retries",):
-            kwargs[key] = int(value)
+            convert, expected = int, "an integer"
         elif key in ("timeout", "backoff_factor"):
-            kwargs[key] = float(value)
+            convert, expected = float, "a number"
         elif key in ("backoff", "escalation"):
-            kwargs[key] = value.strip()
+            convert, expected = str.strip, "a name"
         else:
             raise ValueError(
                 f"unknown resilience option {key!r}; valid: retries, "
                 "timeout, backoff, escalation, factor"
             )
+        try:
+            kwargs[key] = convert(value)
+        except ValueError:
+            raise ValueError(
+                f"resilience option {spelled} must be {expected}, "
+                f"got {value!r}"
+            ) from None
     return ResiliencePolicy(**kwargs)
 
 

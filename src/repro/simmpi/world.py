@@ -77,38 +77,11 @@ class RankContext:
         if seconds:
             yield _Sleep(seconds)
 
-    def extra_cores(self) -> "ExtraCores":
-        """Access to the node's idle cores (the multi-threaded
-        encryption extension uses this; see encmpi.pipeline)."""
-        return ExtraCores(self._scheduler, self._cluster, self.rank)
-
     @property
     def node_alloc(self):
         """The rank's node-local :class:`~repro.models.cpu.CoreAllocator`
         (helper cores the cryptmpi pipeline schedules chunk work onto)."""
         return self._cluster.node_of(self.rank).alloc
-
-
-class ExtraCores:
-    """Best-effort claim on idle cores of the rank's node."""
-
-    def __init__(self, scheduler: Scheduler, cluster: ClusterRuntime, rank: int):
-        self._scheduler = scheduler
-        self._node = cluster.node_of(rank)
-
-    @property
-    def idle(self) -> int:
-        """Helper cores on this node free right now.
-
-        Answered by the node's :class:`~repro.models.cpu.CoreAllocator`:
-        one core per resident rank is pinned for that rank's lifetime
-        (never idle, even between its bursts), and helpers already busy
-        — or queued — with pipeline work are not double-counted.  This
-        is what the static wave estimate of
-        :class:`repro.encmpi.pipeline.PipelinedCrypto` consults, so an
-        oversubscribed node (ranks on every core) correctly reports 0.
-        """
-        return self._node.alloc.idle_helpers
 
 
 @dataclass

@@ -2,11 +2,12 @@
 
 ``parse_crypto_plan``, ``parse_fault_plan`` and
 ``parse_resilience_policy`` share a grammar discipline: malformed
-tokens, duplicate/conflicting keys, and unknown keys or modes all raise
-:class:`ValueError`, and every "unknown X" message *names the valid
-alternatives* so the CLI error is self-repairing.  All three are also
-re-exported from :mod:`repro.api` for hosts that build specs
-programmatically."""
+tokens, duplicate/conflicting keys, unknown keys or modes and
+unconvertible values all raise :class:`ValueError`; every "unknown X"
+message *names the valid alternatives*, and every bad value names its
+key and the expected form, so the CLI error is self-repairing.  All
+three are also re-exported from :mod:`repro.api` for hosts that build
+specs programmatically."""
 
 import pytest
 
@@ -64,6 +65,16 @@ def test_crypto_plan_unknown_library_names_profiled():
         assert lib in str(err.value)
 
 
+@pytest.mark.parametrize("spec, expected", [
+    ("cryptmpi:cores=three", "cores must be an integer or 'auto'"),
+    ("cryptmpi:chunk=big", "chunk must be a size"),
+])
+def test_crypto_plan_bad_value_names_the_option(spec, expected):
+    with pytest.raises(ValueError, match=expected) as err:
+        parse_crypto_plan(spec)
+    assert "invalid literal" not in str(err.value)
+
+
 # -------------------------------------------------------- parse_fault_plan
 
 def test_fault_plan_round_trip():
@@ -93,6 +104,17 @@ def test_fault_plan_unknown_key_names_valid_keys():
 def test_fault_plan_out_of_range_rate():
     with pytest.raises(ValueError):
         parse_fault_plan("drop=1.5")
+
+
+@pytest.mark.parametrize("spec, expected", [
+    ("drop=abc", "drop must be a rate"),
+    ("seed=1.5", "seed must be an integer"),
+])
+def test_fault_plan_bad_value_names_the_option(spec, expected):
+    with pytest.raises(ValueError, match=expected) as err:
+        parse_fault_plan(spec)
+    assert "could not convert" not in str(err.value)
+    assert "invalid literal" not in str(err.value)
 
 
 # ------------------------------------------------- parse_resilience_policy
@@ -134,3 +156,15 @@ def test_resilience_unknown_backoff_names_valid_modes():
         parse_resilience_policy("backoff=cubic")
     assert "exponential" in str(err.value)
     assert "fixed" in str(err.value)
+
+
+@pytest.mark.parametrize("spec, expected", [
+    ("retries=x", "retries must be an integer"),
+    ("timeout=soon", "timeout must be a number"),
+    ("factor=x", "factor must be a number"),
+])
+def test_resilience_bad_value_names_the_option(spec, expected):
+    with pytest.raises(ValueError, match=expected) as err:
+        parse_resilience_policy(spec)
+    assert "could not convert" not in str(err.value)
+    assert "invalid literal" not in str(err.value)

@@ -5,9 +5,11 @@ The coroutine rank runtime is only admissible because it is
 same event streams, same artifacts.  This suite pins that equivalence
 on the golden workloads and cheap experiment cells, plus the
 EngineOptions enforcement edges (strict-coroutines rejection of plain
-rank functions, the max_ranks ceiling, and the cryptmpi pipeline's
-threads-only constraint).
+rank functions, the max_ranks ceiling), plus the cryptmpi chunk
+pipeline, whose generator implementation serves both runtimes.
 """
+
+import hashlib
 
 import pytest
 
@@ -137,20 +139,69 @@ def test_auto_runtime_picks_by_program_kind():
     assert auto.duration == threads.duration
 
 
-def test_cryptmpi_pipeline_requires_threads():
-    """The chunk pipeline overlaps helper cores with a *blocked* rank
-    thread; its co_ spellings refuse to run rather than deadlock."""
-    plan = api.CryptoPlan(mode="cryptmpi", chunk_bytes=1024)
+# ------------------------------------------------------ cryptmpi pipeline
 
-    def program(ctx):
-        if ctx.rank == 0:
-            yield from ctx.enc.co_send(b"z" * 4096, 1, tag=9)
-        else:
-            yield from ctx.enc.co_recv(0, 9)
+CRYPTMPI = api.CryptoPlan(mode="cryptmpi", chunk_bytes=1024)
+TAG_PIPE = 9
 
-    with pytest.raises(RuntimeError, match="threads"):
-        api.run_job(
-            program, nranks=2,
-            security=api.SecurityConfig(library="boringssl", crypto=plan),
-            cluster=parse_cluster_spec("2x8"),
+
+def _co_cryptmpi_exchange(ctx):
+    """Every co_* entry point of the chunk pipeline: send/recv, a window
+    of isends drained by waitall, and a sendrecv."""
+    enc = ctx.enc
+    peer = 1 - ctx.rank
+    got = []
+    if ctx.rank == 0:
+        yield from enc.co_send(b"z" * 4096, peer, tag=TAG_PIPE)
+        reqs = []
+        for i in range(3):
+            reqs.append((yield from enc.co_isend(
+                bytes([i + 1]) * 2500, peer, tag=TAG_PIPE)))
+        yield from enc.co_waitall(reqs)
+    else:
+        data, _status = yield from enc.co_recv(peer, TAG_PIPE)
+        got.append(data)
+        reqs = [enc.irecv(peer, TAG_PIPE) for _ in range(3)]
+        got.extend((yield from enc.co_waitall(reqs)))
+    data, status = yield from enc.co_sendrecv(
+        bytes([ctx.rank]) * 3000, peer, peer, TAG_PIPE + 1, TAG_PIPE + 1)
+    got.append(data)
+    return [bytes(g) for g in got], status.source, ctx.now
+
+
+def _core_busy_digest(trace) -> str:
+    busy = [line for line, e in zip(trace.canonical_lines(), trace.events)
+            if e.kind == "core_busy"]
+    assert busy, "the pipeline must schedule seals/opens on helper cores"
+    return hashlib.sha256("\n".join(busy).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["clean", "corrupt"])
+def test_cryptmpi_pipeline_identical_on_both_runtimes(lossy):
+    """The generator chunk pipeline runs as a coroutine and lands on the
+    same results, virtual time and helper-core schedule as the blocking
+    spelling on threads — including the NACK re-post path of a chunk
+    that fails authentication."""
+    faults = api.FaultPlan(corrupt=0.2, seed=5) if lossy else None
+    resilience = api.ResiliencePolicy(max_retries=8, timeout=1e-3) \
+        if lossy else None
+    runs = {}
+    for name in ("coroutines", "threads"):
+        runs[name] = api.run_job(
+            _co_cryptmpi_exchange, nranks=2,
+            security=api.SecurityConfig(library="boringssl",
+                                        crypto=CRYPTMPI),
+            cluster=parse_cluster_spec("2x8"), trace="events",
+            faults=faults, resilience=resilience, engine=_force(name),
         )
+    co, th = runs["coroutines"], runs["threads"]
+    assert co.results == th.results
+    assert co.duration == th.duration
+    assert _core_busy_digest(co.trace) == _core_busy_digest(th.trace)
+    received = co.results[1][0]
+    assert received[0] == b"z" * 4096
+    assert received[1:4] == [bytes([i + 1]) * 2500 for i in range(3)]
+    assert co.results[0][0] == [bytes([1]) * 3000]
+    if lossy:
+        assert co.trace.events_in("aead", "auth_fail"), \
+            "the corrupt case must exercise the chunk re-post path"
