@@ -209,8 +209,8 @@ def run_job(
     checking on every AEAD seal.  The report rides on
     ``JobResult.sanitizer``; virtual timing is unaffected.  None defers
     to the process-wide default (:mod:`repro.defaults`), as does
-    *engine* (an :class:`EngineOptions` or a spec string like
-    ``"coroutines:max_ranks=4096"``), which picks the rank runtime.
+    *engine* (an :class:`EngineOptions` or a runtime name like
+    ``"coroutines"``), which picks the rank runtime.
 
     *faults* takes a declarative :class:`FaultPlan`; every job — and
     every repetition of a stats-armed job — builds its own seeded

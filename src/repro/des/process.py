@@ -311,7 +311,6 @@ class Scheduler:
         engine: Engine | None = None,
         *,
         runtime: str = "auto",
-        handoff_check: bool = False,
     ):
         if runtime not in RUNTIMES:
             raise ValueError(
@@ -320,7 +319,6 @@ class Scheduler:
         self.engine = engine or Engine()
         self.engine._blocked_reporter = self._blocked_processes
         self.runtime = runtime
-        self.handoff_check = handoff_check
         #: process wakes dispatched so far (both runtimes)
         self.handoffs = 0
         # Engine-side handoff lock, created held (see SimProcess._resume).
@@ -424,7 +422,7 @@ class Scheduler:
         if self._failure is not None:
             return  # simulation is being torn down
         self.handoffs += 1
-        if self.handoff_check and proc.finished.done:
+        if proc.finished.done:
             raise RuntimeError(f"woke finished process {proc.name}")
         if type(proc) is CoroProcess:
             self._step_coro(proc)
@@ -475,7 +473,7 @@ class Scheduler:
                     self.engine.schedule(item.delay, self.wake_now, proc)
                     proc._blocked_on = "sleep"
                     return
-                if self.handoff_check and not isinstance(item, SimEvent):
+                if not isinstance(item, SimEvent):
                     raise RuntimeError(
                         f"{proc.name} yielded {item!r}; coroutine ranks may "
                         "only yield SimEvents or _Sleep"

@@ -29,6 +29,8 @@ from dataclasses import dataclass, replace
 
 from repro import defaults
 from repro.models.cryptolib import PROFILED_LIBRARIES
+from repro.util.specs import parse_options
+from repro.util.units import parse_size
 
 #: CryptMPI's default pipeline unit (64 KiB in the paper's code for
 #: point-to-point; 256 KiB amortizes the per-chunk +28 B and per-call
@@ -94,6 +96,15 @@ class CryptoPlan:
         )
 
 
+_CRYPTO_OPTIONS = {
+    "chunk": ("chunk_bytes", parse_size, "a size like '256k'"),
+    "cores": ("helper_cores", lambda v: None if v == "auto" else int(v),
+              "an integer or 'auto'"),
+    "library": ("library", str, "a library name"),
+    "bytework": ("bytework", str, "'real' or 'modeled'"),
+}
+
+
 def parse_crypto_plan(spec: str) -> CryptoPlan:
     """Parse ``"MODE[:key=value,...]"`` into a :class:`CryptoPlan`.
 
@@ -105,12 +116,9 @@ def parse_crypto_plan(spec: str) -> CryptoPlan:
         parse_crypto_plan("cryptmpi:chunk=256k,cores=3")
         parse_crypto_plan("cryptmpi:library=openssl,bytework=modeled")
 
-    Unknown modes or keys raise :class:`ValueError` naming the valid
-    ones, like :func:`~repro.simmpi.faults.parse_fault_plan`; a key
-    given twice raises instead of silently keeping the last value.
+    An unknown mode raises :class:`ValueError` naming the valid ones;
+    the options follow :func:`repro.util.specs.parse_options`.
     """
-    from repro.util.units import parse_size
-
     mode, _sep, rest = spec.strip().partition(":")
     mode = mode.strip().lower()
     if mode not in CRYPTO_PLAN_MODES:
@@ -118,48 +126,7 @@ def parse_crypto_plan(spec: str) -> CryptoPlan:
             f"unknown crypto plan mode {mode!r}; valid: "
             + ", ".join(CRYPTO_PLAN_MODES)
         )
-    kwargs: dict = {"mode": mode}
-    seen: set[str] = set()
-    for part in filter(None, (p.strip() for p in rest.split(","))):
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise ValueError(
-                f"malformed crypto option {part!r} (need key=value)"
-            )
-        key, value = key.strip(), value.strip()
-        if key in seen:
-            raise ValueError(
-                f"duplicate crypto option {key!r}; each key may appear "
-                "at most once"
-            )
-        seen.add(key)
-        if key == "chunk":
-            try:
-                kwargs["chunk_bytes"] = parse_size(value)
-            except ValueError:
-                raise ValueError(
-                    f"crypto option chunk must be a size like '256k', "
-                    f"got {value!r}"
-                ) from None
-        elif key == "cores":
-            try:
-                kwargs["helper_cores"] = None if value == "auto" \
-                    else int(value)
-            except ValueError:
-                raise ValueError(
-                    f"crypto option cores must be an integer or 'auto', "
-                    f"got {value!r}"
-                ) from None
-        elif key == "library":
-            kwargs["library"] = value
-        elif key == "bytework":
-            kwargs["bytework"] = value
-        else:
-            raise ValueError(
-                f"unknown crypto option {key!r}; valid: chunk, cores, "
-                "library, bytework"
-            )
-    return CryptoPlan(**kwargs)
+    return CryptoPlan(mode=mode, **parse_options(rest, "crypto", _CRYPTO_OPTIONS))
 
 
 def apply_default_plan(plan: CryptoPlan) -> CryptoPlan:

@@ -366,14 +366,9 @@ def run_campaign(
         if not isinstance(crypto, CryptoPlan):
             raise TypeError(f"crypto must be a CryptoPlan, got {crypto!r}")
     if engine is not None:
-        from repro.des.options import EngineOptions, parse_engine_options
+        from repro.des.options import resolve_engine_options
 
-        if isinstance(engine, str):
-            engine = parse_engine_options(engine)
-        elif not isinstance(engine, EngineOptions):
-            raise TypeError(
-                f"engine must be EngineOptions or a spec string, got {engine!r}"
-            )
+        engine = resolve_engine_options(engine)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     requested = list(selection)

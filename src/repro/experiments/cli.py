@@ -79,9 +79,8 @@ def _parse_runtime_arg(args):
 
 
 _RUNTIME_HELP = (
-    "rank runtime for every simulated job, e.g. 'coroutines', "
-    "'threads:handoff_check=on', 'coroutines:max_ranks=4096' "
-    "(see repro.des.options.parse_engine_options)"
+    "rank runtime for every simulated job: 'auto', 'coroutines' or "
+    "'threads' (see repro.des.options.parse_engine_options)"
 )
 
 

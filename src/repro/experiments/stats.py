@@ -26,6 +26,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
+from repro.util.specs import parse_options
 from repro.util.units import format_fraction, parse_fraction
 
 #: ISSUE/acceptance floor: every hostile cell reports a CI from at
@@ -35,8 +36,6 @@ DEFAULT_CONFIDENCE = 0.95
 #: Percentile-bootstrap resample count — enough for stable 95% bounds
 #: on 20-50 reps, small enough to stay cheap in the per-cell loop.
 BOOTSTRAP_RESAMPLES = 400
-
-_STATS_KEYS = ("reps", "confidence", "seed")
 
 
 @dataclass(frozen=True)
@@ -74,11 +73,19 @@ class StatsSpec:
         )
 
 
+_STATS_OPTIONS = {
+    "reps": ("reps", int, "an integer"),
+    "confidence": ("confidence", parse_fraction,
+                   "a fraction like '0.95' or '95%'"),
+    "seed": ("seed", int, "an integer"),
+}
+
+
 def parse_stats_spec(spec: str | StatsSpec) -> StatsSpec:
     """Parse ``"reps=20,confidence=95%,seed=7"`` into a StatsSpec.
 
-    Same family as the cluster/crypto/fault/fabric parsers: unknown or
-    duplicate keys raise ValueError naming the valid ones.
+    Option errors follow :func:`repro.util.specs.parse_options`, like
+    the crypto/fault/resilience/fabric parsers.
 
     >>> parse_stats_spec("reps=30,confidence=99%")
     StatsSpec(reps=30, confidence=0.99, seed=0)
@@ -87,40 +94,7 @@ def parse_stats_spec(spec: str | StatsSpec) -> StatsSpec:
         return spec
     if not isinstance(spec, str):
         raise TypeError(f"stats spec must be a string or StatsSpec, got {spec!r}")
-    fields: dict[str, object] = {}
-    for item in spec.split(","):
-        if not item.strip():
-            continue
-        key, sep, value = item.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or not key or not value:
-            raise ValueError(
-                f"malformed stats option {item!r} in {spec!r}; expected "
-                f"key=value with keys: {', '.join(_STATS_KEYS)}"
-            )
-        if key not in _STATS_KEYS:
-            raise ValueError(
-                f"unknown stats option {key!r} in {spec!r}; valid keys: "
-                f"{', '.join(_STATS_KEYS)}"
-            )
-        if key in fields:
-            raise ValueError(f"duplicate stats option {key!r} in {spec!r}")
-        if key in ("reps", "seed"):
-            try:
-                fields[key] = int(value)
-            except ValueError:
-                raise ValueError(
-                    f"stats option {key} must be an integer, got {value!r}"
-                ) from None
-        else:
-            try:
-                fields[key] = parse_fraction(value)
-            except ValueError:
-                raise ValueError(
-                    f"stats option confidence must be a fraction like "
-                    f"'0.95' or '95%', got {value!r}"
-                ) from None
-    return StatsSpec(**fields)
+    return StatsSpec(**parse_options(spec, "stats", _STATS_OPTIONS))
 
 
 # --------------------------------------------------------------------------

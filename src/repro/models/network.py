@@ -38,11 +38,13 @@ escalated exactly like injected faults.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
 from repro.models import calibration
 from repro.models.interp import LogLogCurve
+from repro.util.specs import parse_options
 from repro.util.units import format_fraction, parse_fraction
 
 
@@ -276,10 +278,6 @@ def get_network(name: str) -> NetworkModel:
 # FabricSpec: typed fabric facade (base preset + seeded noise)
 # --------------------------------------------------------------------------
 
-#: Spec keys accepted by :func:`parse_network_spec`, in token order.
-_SPEC_KEYS = ("jitter", "wobble", "loss", "seed")
-
-
 @dataclass(frozen=True)
 class FabricSpec:
     """A fabric preset plus deterministic noise, in canonical form.
@@ -316,8 +314,10 @@ class FabricSpec:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"{knob} must be a fraction, got {value!r}")
             object.__setattr__(self, knob, float(value))
-        if self.jitter < 0.0:
-            raise ValueError(f"jitter must be a fraction >= 0, got {self.jitter!r}")
+        if not 0.0 <= self.jitter < math.inf:
+            raise ValueError(
+                f"jitter must be a finite fraction >= 0, got {self.jitter!r}"
+            )
         if not 0.0 <= self.wobble < 1.0:
             raise ValueError(f"wobble must be a fraction in [0, 1), got {self.wobble!r}")
         if not 0.0 <= self.loss < 1.0:
@@ -369,14 +369,20 @@ class FabricSpec:
         return FaultPlan(drop=self.loss, seed=self.seed)
 
 
+_NETWORK_OPTIONS = {
+    **{key: (key, parse_fraction, "a fraction like '0.1' or '10%'")
+       for key in ("jitter", "wobble", "loss")},
+    "seed": ("seed", int, "an integer"),
+}
+
+
 def parse_network_spec(spec: str | FabricSpec) -> FabricSpec:
     """Parse ``"BASE[:key=value,...]"`` into a :class:`FabricSpec`.
 
     Keys: ``jitter``/``wobble``/``loss`` (fractions, '%' accepted) and
     ``seed`` (int).  Unknown bases raise :class:`KeyError` with the
-    :func:`get_network` message; malformed options raise
-    :class:`ValueError` naming the valid keys, like the other spec
-    parsers (cluster/crypto/fault/resilience/engine).
+    :func:`get_network` message; option errors follow
+    :func:`repro.util.specs.parse_options`.
 
     >>> parse_network_spec("wan:jitter=10%,loss=2%,seed=7")
     FabricSpec(base='wan', jitter=0.1, wobble=0.0, loss=0.02, seed=7)
@@ -388,40 +394,10 @@ def parse_network_spec(spec: str | FabricSpec) -> FabricSpec:
             f"network spec must be a string or FabricSpec, got {spec!r}"
         )
     base, _, options = spec.partition(":")
-    base = canonical_fabric(base.strip())
-    fields: dict[str, object] = {}
-    if options.strip():
-        for item in options.split(","):
-            key, sep, value = item.partition("=")
-            key, value = key.strip(), value.strip()
-            if not sep or not key or not value:
-                raise ValueError(
-                    f"malformed network option {item!r} in {spec!r}; "
-                    f"expected key=value with keys: {', '.join(_SPEC_KEYS)}"
-                )
-            if key not in _SPEC_KEYS:
-                raise ValueError(
-                    f"unknown network option {key!r} in {spec!r}; "
-                    f"valid keys: {', '.join(_SPEC_KEYS)}"
-                )
-            if key in fields:
-                raise ValueError(f"duplicate network option {key!r} in {spec!r}")
-            if key == "seed":
-                try:
-                    fields[key] = int(value)
-                except ValueError:
-                    raise ValueError(
-                        f"network option seed must be an integer, got {value!r}"
-                    ) from None
-            else:
-                try:
-                    fields[key] = parse_fraction(value)
-                except ValueError:
-                    raise ValueError(
-                        f"network option {key} must be a fraction like "
-                        f"'0.1' or '10%', got {value!r}"
-                    ) from None
-    return FabricSpec(base=base, **fields)
+    return FabricSpec(
+        base=canonical_fabric(base.strip()),
+        **parse_options(options, "network", _NETWORK_OPTIONS),
+    )
 
 
 def as_fabric_spec(network: str | FabricSpec) -> FabricSpec:

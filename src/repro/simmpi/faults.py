@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.simmpi.message import Envelope, OpaquePayload
+from repro.util.specs import parse_options
 
 
 class FaultAction(enum.Enum):
@@ -202,41 +203,22 @@ class FaultPlan:
         return FaultInjector(policy, corrupt_bit=self.corrupt_bit)
 
 
+_FAULT_OPTIONS = {
+    **{key: (key, float, "a rate like '0.05'")
+       for key in ("drop", "corrupt", "duplicate")},
+    **{key: (key, int, "an integer")
+       for key in ("seed", "src", "dst", "tag", "corrupt_bit")},
+}
+
+
 def parse_fault_plan(spec: str) -> FaultPlan:
     """Parse ``"drop=0.05,corrupt=0.02,seed=7"`` into a FaultPlan.
 
     Keys: ``drop``, ``corrupt``, ``duplicate`` (rates), ``seed``,
-    ``src``, ``dst``, ``tag``, ``corrupt_bit`` (ints).  Unknown keys
-    raise :class:`ValueError` naming the valid ones; a key given twice
-    raises instead of silently keeping the last value.
+    ``src``, ``dst``, ``tag``, ``corrupt_bit`` (ints); errors follow
+    :func:`repro.util.specs.parse_options`.
     """
-    kwargs: dict = {}
-    for part in filter(None, (p.strip() for p in spec.split(","))):
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise ValueError(f"malformed fault option {part!r} (need key=value)")
-        key = key.strip()
-        if key in kwargs:
-            raise ValueError(
-                f"duplicate fault option {key!r}; each key may appear "
-                "at most once"
-            )
-        if key in ("drop", "corrupt", "duplicate"):
-            convert, expected = float, "a rate like '0.05'"
-        elif key in ("seed", "src", "dst", "tag", "corrupt_bit"):
-            convert, expected = int, "an integer"
-        else:
-            raise ValueError(
-                f"unknown fault option {key!r}; valid: drop, corrupt, "
-                "duplicate, seed, src, dst, tag, corrupt_bit"
-            )
-        try:
-            kwargs[key] = convert(value)
-        except ValueError:
-            raise ValueError(
-                f"fault option {key} must be {expected}, got {value!r}"
-            ) from None
-    return FaultPlan(**kwargs)
+    return FaultPlan(**parse_options(spec, "fault", _FAULT_OPTIONS))
 
 
 # -- ready-made policies -------------------------------------------------------

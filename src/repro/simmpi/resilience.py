@@ -33,10 +33,12 @@ byte-identically to before (golden-trace digests unchanged).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.simmpi.message import Envelope
+from repro.util.specs import parse_options
 
 if TYPE_CHECKING:
     from repro.des.process import Scheduler
@@ -74,8 +76,10 @@ class ResiliencePolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {self.timeout}")
+        if not 0.0 < self.timeout < math.inf:
+            raise ValueError(
+                f"timeout must be a finite number > 0, got {self.timeout}"
+            )
         if self.backoff not in BACKOFF_MODES:
             raise ValueError(
                 f"backoff must be one of {BACKOFF_MODES}, got {self.backoff!r}"
@@ -85,9 +89,10 @@ class ResiliencePolicy:
                 f"escalation must be one of {ESCALATIONS}, "
                 f"got {self.escalation!r}"
             )
-        if self.backoff_factor < 1.0:
+        if not 1.0 <= self.backoff_factor < math.inf:
             raise ValueError(
-                f"backoff_factor must be >= 1.0, got {self.backoff_factor}"
+                f"backoff_factor must be a finite number >= 1.0, "
+                f"got {self.backoff_factor}"
             )
 
     def retry_delay(self, attempt: int) -> float:
@@ -103,47 +108,29 @@ class ResiliencePolicy:
         return tuple(self.retry_delay(k) for k in range(1, self.max_retries + 1))
 
 
+_RESILIENCE_OPTIONS = {
+    "retries": ("max_retries", int, "an integer"),
+    "max_retries": ("max_retries", int, "an integer"),
+    "timeout": ("timeout", float, "a number"),
+    "backoff": ("backoff", str, "a name"),
+    "escalation": ("escalation", str, "a name"),
+    "factor": ("backoff_factor", float, "a number"),
+    "backoff_factor": ("backoff_factor", float, "a number"),
+}
+
+
 def parse_resilience_policy(spec: str) -> ResiliencePolicy:
     """Parse ``"retries=3,timeout=0.001,backoff=exponential,..."``.
 
     Keys: ``retries`` (or ``max_retries``), ``timeout`` (seconds),
     ``backoff``, ``escalation``, ``factor`` (or ``backoff_factor``).
-    Unknown keys raise :class:`ValueError` naming the valid ones; a key
-    given twice — directly or through its alias, like ``retries=2,
+    Errors follow :func:`repro.util.specs.parse_options`: a key given
+    twice — directly or through its alias, like ``retries=2,
     max_retries=3`` — raises instead of silently keeping the last value.
     """
-    kwargs: dict[str, Any] = {}
-    aliases = {"retries": "max_retries", "factor": "backoff_factor"}
-    for part in filter(None, (p.strip() for p in spec.split(","))):
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise ValueError(f"malformed resilience option {part!r} (need key=value)")
-        spelled = key.strip()
-        key = aliases.get(spelled, spelled)
-        if key in kwargs:
-            raise ValueError(
-                f"conflicting resilience option {spelled!r}: {key!r} was "
-                "already given (aliases count as the same key)"
-            )
-        if key in ("max_retries",):
-            convert, expected = int, "an integer"
-        elif key in ("timeout", "backoff_factor"):
-            convert, expected = float, "a number"
-        elif key in ("backoff", "escalation"):
-            convert, expected = str.strip, "a name"
-        else:
-            raise ValueError(
-                f"unknown resilience option {key!r}; valid: retries, "
-                "timeout, backoff, escalation, factor"
-            )
-        try:
-            kwargs[key] = convert(value)
-        except ValueError:
-            raise ValueError(
-                f"resilience option {spelled} must be {expected}, "
-                f"got {value!r}"
-            ) from None
-    return ResiliencePolicy(**kwargs)
+    return ResiliencePolicy(
+        **parse_options(spec, "resilience", _RESILIENCE_OPTIONS)
+    )
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,10 @@ from repro.simmpi.faults import ChainedInjector
 from repro.simmpi.tracing import TraceMode, resolve_trace
 from repro.simmpi.topology import ClusterRuntime
 
+#: rank ceiling of one job (the scale experiment's top point); anything
+#: above it is almost certainly an accidental unit error in a rank count
+MAX_RANKS = 4096
+
 
 class RankContext:
     """Everything one rank's program sees."""
@@ -155,7 +159,8 @@ def run_program(
     experiment reach 4096 ranks); ``"threads"`` is the historical
     thread-per-rank fallback; ``"auto"`` (default) chooses coroutines
     exactly when *program* is a generator function.  Both runtimes
-    produce byte-identical schedules.
+    produce byte-identical schedules.  More than :data:`MAX_RANKS`
+    ranks raise :class:`ValueError` before any rank spawns.
     """
     from repro.analysis.sanitize import (
         Sanitizer,
@@ -164,10 +169,9 @@ def run_program(
     )
 
     opts = resolve_engine_options(engine)
-    if nranks > opts.max_ranks:
+    if nranks > MAX_RANKS:
         raise ValueError(
-            f"nranks={nranks} exceeds EngineOptions.max_ranks="
-            f"{opts.max_ranks}; raise max_ranks if this is intentional"
+            f"nranks={nranks} exceeds the {MAX_RANKS}-rank ceiling of one job"
         )
     is_gen_program = inspect.isgeneratorfunction(program)
     if opts.runtime == "coroutines" and not is_gen_program:
@@ -195,7 +199,7 @@ def run_program(
             fault_injector = loss_injector
         else:
             fault_injector = ChainedInjector((loss_injector, fault_injector))
-    scheduler = Scheduler(runtime=mode, handoff_check=opts.handoff_check)
+    scheduler = Scheduler(runtime=mode)
     recorder, comm_trace = resolve_trace(trace)
     runtime = ClusterRuntime(scheduler, cluster, net, nranks, placement,
                              recorder)

@@ -1,19 +1,22 @@
-"""Error-path contracts of the three CLI spec parsers.
+"""Error-path contracts of the five ``key=value`` spec parsers.
 
-``parse_crypto_plan``, ``parse_fault_plan`` and
-``parse_resilience_policy`` share a grammar discipline: malformed
-tokens, duplicate/conflicting keys, unknown keys or modes and
-unconvertible values all raise :class:`ValueError`; every "unknown X"
-message *names the valid alternatives*, and every bad value names its
-key and the expected form, so the CLI error is self-repairing.  All
-three are also re-exported from :mod:`repro.api` for hosts that build
-specs programmatically."""
+``parse_crypto_plan``, ``parse_fault_plan``, ``parse_resilience_policy``,
+``parse_stats_spec`` and ``parse_network_spec`` share one grammar
+(:func:`repro.util.specs.parse_options`): malformed tokens,
+duplicate/conflicting keys, unknown keys or modes and unconvertible
+values all raise :class:`ValueError`; every "unknown X" message *names
+the valid alternatives*, and every bad value names its key and the
+expected form, so the CLI error is self-repairing.  All five are also
+re-exported from :mod:`repro.api` for hosts that build specs
+programmatically."""
 
 import pytest
 
 import repro.api as api
 from repro.encmpi.plan import CRYPTO_PLAN_MODES, parse_crypto_plan
+from repro.experiments.stats import StatsSpec, parse_stats_spec
 from repro.models.cryptolib import PROFILED_LIBRARIES
+from repro.models.network import FabricSpec, parse_network_spec
 from repro.simmpi.faults import parse_fault_plan
 from repro.simmpi.resilience import parse_resilience_policy
 
@@ -168,3 +171,66 @@ def test_resilience_bad_value_names_the_option(spec, expected):
         parse_resilience_policy(spec)
     assert "could not convert" not in str(err.value)
     assert "invalid literal" not in str(err.value)
+
+
+# ------------------------------- parse_stats_spec and parse_network_spec
+# Their home suites (tests/experiments/test_stats.py,
+# tests/models/test_fabric.py) pin the valid-key lists; these rows pin
+# the rest of the shared grammar for them.
+
+@pytest.mark.parametrize("parse, spec, expected", [
+    (parse_stats_spec, "reps=3,seed",
+     "malformed stats option 'seed' (need key=value)"),
+    (parse_network_spec, "wan:jitter=1%,loss",
+     "malformed network option 'loss' (need key=value)"),
+])
+def test_malformed_option_is_named(parse, spec, expected):
+    with pytest.raises(ValueError) as err:
+        parse(spec)
+    assert expected in str(err.value)
+
+
+@pytest.mark.parametrize("parse, spec, kind", [
+    (parse_stats_spec, "seed=1,seed=2", "stats"),
+    (parse_network_spec, "wan:seed=1,seed=2", "network"),
+])
+def test_duplicate_key_conflicts(parse, spec, kind):
+    with pytest.raises(ValueError) as err:
+        parse(spec)
+    assert f"duplicate {kind} option" in str(err.value)
+    assert f"conflicting {kind} option" in str(err.value)
+
+
+@pytest.mark.parametrize("parse, spec, expected", [
+    (parse_stats_spec, "reps=3,alpha=0.1", "unknown stats option 'alpha'"),
+    (parse_network_spec, "wan:delay=1%", "unknown network option 'delay'"),
+])
+def test_unknown_key_is_named(parse, spec, expected):
+    with pytest.raises(ValueError) as err:
+        parse(spec)
+    assert expected in str(err.value)
+
+
+@pytest.mark.parametrize("parse, spec, expected", [
+    (parse_stats_spec, "reps=many", "stats option reps must be an integer"),
+    (parse_stats_spec, "confidence=high",
+     "stats option confidence must be a fraction"),
+    (parse_stats_spec, "seed=1.5", "stats option seed must be an integer"),
+    (parse_network_spec, "wan:jitter=lots",
+     "network option jitter must be a fraction"),
+    (parse_network_spec, "wan:wobble=", "network option wobble must be a fraction"),
+    (parse_network_spec, "wan:seed=1.5", "network option seed must be an integer"),
+])
+def test_bad_value_names_the_option(parse, spec, expected):
+    with pytest.raises(ValueError) as err:
+        parse(spec)
+    assert expected in str(err.value)
+    assert "could not convert" not in str(err.value)
+    assert "invalid literal" not in str(err.value)
+
+
+def test_blank_items_are_skipped():
+    assert parse_stats_spec(" reps=3,, seed=1,") == StatsSpec(reps=3, seed=1)
+    assert parse_network_spec("wan:loss=1%,,seed=3,") == FabricSpec(
+        base="wan", loss=0.01, seed=3
+    )

@@ -1,23 +1,24 @@
 """EngineOptions and parse_engine_options: the typed runtime facade.
 
-Same grammar discipline as the other ``parse_*`` spec parsers
-(tests/api/test_parse_specs.py): malformed tokens, duplicates, and
-unknown keys/runtimes raise :class:`ValueError` naming the valid
-alternatives, and the whole surface is re-exported from
-:mod:`repro.api`.
+The engine spec is a bare runtime name; anything else — including the
+``RUNTIME:key=value`` tails the other ``parse_*`` spec parsers take —
+raises :class:`ValueError` naming the valid runtimes, and the whole
+surface is re-exported from :mod:`repro.api`.
 """
+
+import dataclasses
 
 import pytest
 
 import repro.api as api
 from repro import defaults
 from repro.des.options import (
-    DEFAULT_MAX_RANKS,
     EngineOptions,
     parse_engine_options,
     resolve_engine_options,
 )
 from repro.des.process import RUNTIMES
+from repro.simmpi.world import MAX_RANKS
 
 
 def test_api_reexports_the_engine_surface():
@@ -28,10 +29,9 @@ def test_api_reexports_the_engine_surface():
 # ------------------------------------------------------------ EngineOptions
 
 def test_defaults():
-    opts = EngineOptions()
-    assert (opts.runtime, opts.max_ranks, opts.handoff_check) == (
-        "auto", DEFAULT_MAX_RANKS, False
-    )
+    assert [f.name for f in dataclasses.fields(EngineOptions)] == ["runtime"]
+    assert EngineOptions().runtime == "auto"
+    assert MAX_RANKS == 4096
 
 
 def test_unknown_runtime_names_valid_ones():
@@ -41,24 +41,20 @@ def test_unknown_runtime_names_valid_ones():
         assert runtime in str(err.value)
 
 
-@pytest.mark.parametrize("bad", [0, -1, 2.5, "8"])
-def test_max_ranks_must_be_positive_int(bad):
-    with pytest.raises(ValueError):
-        EngineOptions(max_ranks=bad)
-
-
 def test_token_is_canonical_and_round_trips():
-    opts = EngineOptions(runtime="coroutines", max_ranks=128, handoff_check=True)
-    token = opts.token()
-    assert token == "coroutines:max_ranks=128,handoff_check=on"
-    assert parse_engine_options(token) == opts
+    for runtime in RUNTIMES:
+        opts = EngineOptions(runtime=runtime)
+        assert opts.token() == runtime
+        assert parse_engine_options(opts.token()) == opts
 
 
 # ----------------------------------------------------- parse_engine_options
 
 def test_parse_round_trip():
-    opts = parse_engine_options("coroutines:max_ranks=4096")
-    assert (opts.runtime, opts.max_ranks) == ("coroutines", 4096)
+    assert parse_engine_options("coroutines") == EngineOptions(
+        runtime="coroutines"
+    )
+    assert parse_engine_options(" Threads ").runtime == "threads"
 
 
 def test_parse_bare_runtime():
@@ -73,27 +69,19 @@ def test_parse_unknown_runtime_names_valid_ones():
 
 
 def test_parse_unknown_key_names_valid_ones():
-    with pytest.raises(ValueError) as err:
-        parse_engine_options("auto:stack_size=8")
-    assert "max_ranks" in str(err.value)
-    assert "handoff_check" in str(err.value)
-
-
-def test_parse_duplicate_key_raises():
-    with pytest.raises(ValueError, match="duplicate"):
-        parse_engine_options("auto:max_ranks=8,max_ranks=16")
+    # the engine spec takes no options: a key=value tail is rejected
+    # and the message names the runtimes that are valid
+    for spec in ("auto:stack_size=8", "coroutines:max_ranks=4096",
+                 "threads:handoff_check=on"):
+        with pytest.raises(ValueError) as err:
+            parse_engine_options(spec)
+        for runtime in RUNTIMES:
+            assert runtime in str(err.value)
 
 
 def test_parse_malformed_pair_raises():
-    with pytest.raises(ValueError, match="key=value"):
+    with pytest.raises(ValueError, match="unknown runtime 'auto:max_ranks'"):
         parse_engine_options("auto:max_ranks")
-
-
-def test_parse_bad_int_and_bad_bool():
-    with pytest.raises(ValueError, match="integer"):
-        parse_engine_options("auto:max_ranks=many")
-    with pytest.raises(ValueError, match="on/off"):
-        parse_engine_options("auto:handoff_check=maybe")
 
 
 # ------------------------------------------------------------- resolution

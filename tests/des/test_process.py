@@ -199,3 +199,33 @@ def test_negative_sleep_rejected():
     sched.spawn(prog)
     with pytest.raises(ProcessFailed):
         sched.run()
+
+
+# -- handoff invariants (always checked, on both runtimes) ----------------
+
+
+def test_coroutine_yielding_a_non_event_is_named():
+    sched = Scheduler(runtime="coroutines")
+
+    def prog():
+        yield 42
+
+    sched.spawn(prog, name="bad")
+    with pytest.raises(RuntimeError, match="bad yielded 42; coroutine ranks "
+                       "may only yield SimEvents or _Sleep"):
+        sched.run()
+
+
+@pytest.mark.parametrize("runtime", ["threads", "coroutines"])
+def test_waking_a_finished_process_is_an_error(runtime):
+    sched = Scheduler(runtime=runtime)
+
+    def prog():
+        return "done"
+        yield
+
+    proc = sched.spawn(prog, name="p")
+    sched.run()
+    assert proc.finished.done
+    with pytest.raises(RuntimeError, match="woke finished process p"):
+        sched.wake_now(proc)

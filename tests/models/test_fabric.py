@@ -81,6 +81,11 @@ def test_knob_validation():
         FabricSpec(base="wan", wobble=1.5)
     with pytest.raises(ValueError, match="seed"):
         FabricSpec(base="wan", seed=1.5)
+    # non-finite jitter used to pass and then crash inside the transport
+    with pytest.raises(ValueError, match="jitter"):
+        FabricSpec(base="wan", jitter=float("nan"))
+    with pytest.raises(ValueError, match="jitter"):
+        FabricSpec(base="wan", jitter=float("inf"))
 
 
 def test_wan_iot_presets_exist_and_are_hostile():

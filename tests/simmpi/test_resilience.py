@@ -37,6 +37,19 @@ def test_policy_validates_fields():
         ResiliencePolicy(backoff_factor=0.5)
 
 
+@pytest.mark.parametrize("spec, field", [
+    ("timeout=nan", "timeout"),
+    ("timeout=inf", "timeout"),
+    ("factor=nan,timeout=0.0001", "backoff_factor"),
+])
+def test_policy_rejects_non_finite_values(spec, field):
+    # NaN compares false against every bound, so a plain range check
+    # lets it through: a nan/inf timeout yields a nan/inf job duration
+    # and a nan factor silently changes the retransmission count
+    with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+        parse_resilience_policy(spec)
+
+
 def test_exponential_backoff_schedule():
     pol = ResiliencePolicy(max_retries=4, timeout=1e-3, backoff="exponential")
     assert pol.retry_schedule() == (1e-3, 2e-3, 4e-3, 8e-3)

@@ -5,7 +5,7 @@ The coroutine rank runtime is only admissible because it is
 same event streams, same artifacts.  This suite pins that equivalence
 on the golden workloads and cheap experiment cells, plus the
 EngineOptions enforcement edges (strict-coroutines rejection of plain
-rank functions, the max_ranks ceiling), plus the cryptmpi chunk
+rank functions, the MAX_RANKS ceiling), plus the cryptmpi chunk
 pipeline, whose generator implementation serves both runtimes.
 """
 
@@ -124,11 +124,13 @@ def test_strict_coroutines_rejects_plain_rank_functions():
 
 
 def test_max_ranks_ceiling_is_enforced():
-    with pytest.raises(ValueError, match="max_ranks"):
-        run_program(
-            4, _co_pingpong, cluster=CLUSTER,
-            engine=EngineOptions(runtime="coroutines", max_ranks=2),
-        )
+    def never_runs(ctx):
+        raise AssertionError("a rank spawned past the ceiling check")
+        yield
+
+    with pytest.raises(ValueError, match="4096"):
+        run_program(4097, never_runs, cluster=CLUSTER,
+                    engine=_force("coroutines"))
 
 
 def test_auto_runtime_picks_by_program_kind():
