@@ -37,9 +37,9 @@ def test_ablation_nonce_strategy(benchmark):
     model charges framing identically (the dominant term is buffer
     handling), so the wire results must be unaffected — this pins down
     that nonce strategy is a *security* choice, not a performance one."""
+    from repro.api import run_job
     from repro.encmpi import EncryptedComm, SecurityConfig
     from repro.models.cpu import ClusterSpec
-    from repro.simmpi import run_program
 
     def run():
         out = {}
@@ -54,7 +54,7 @@ def test_ablation_nonce_strategy(benchmark):
                 enc.recv(0)
                 return ctx.now
 
-            res = run_program(2, prog, cluster=ClusterSpec(2, 2))
+            res = run_job(prog, nranks=2, cluster=ClusterSpec(2, 2))
             out[strategy] = res.results[1]
         return out
 
@@ -88,8 +88,8 @@ def test_ablation_collective_algorithm_thresholds(benchmark):
     (this is why the simulator implements both)."""
     import importlib
 
+    from repro.api import run_job
     from repro.models.cpu import ClusterSpec
-    from repro.simmpi import run_program
 
     # The collectives package re-exports the bcast *function* under the
     # submodule's name; fetch the module itself to reach the threshold.
@@ -110,7 +110,7 @@ def test_ablation_collective_algorithm_thresholds(benchmark):
                 bcast_mod.BCAST_LONG_THRESHOLD = original
             return ctx.now
 
-        res = run_program(32, prog, network="ethernet", cluster=cluster)
+        res = run_job(prog, nranks=32, network="ethernet", cluster=cluster)
         return max(res.results)
 
     def run():

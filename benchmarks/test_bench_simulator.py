@@ -8,12 +8,12 @@ simulation engine are caught alongside the reproduction results.
 import os
 
 from benchmarks.conftest import run_once
+from repro.api import run_job
 from repro.crypto.aead import get_aead
 from repro.crypto.backends import HAVE_OPENSSL
 from repro.des.engine import Engine
 from repro.des.process import Scheduler
 from repro.models.cpu import TWO_NODE_CLUSTER
-from repro.simmpi import run_program
 
 
 def test_engine_event_throughput(benchmark):
@@ -63,7 +63,7 @@ def test_simulated_message_rate(benchmark):
                 for i in range(n):
                     ctx.comm.recv(0, 0)
 
-        run_program(2, prog, cluster=TWO_NODE_CLUSTER)
+        run_job(prog, nranks=2, cluster=TWO_NODE_CLUSTER)
         return n
 
     assert run_once(benchmark, run) == 500

@@ -9,9 +9,9 @@ the kind of data the paper's overhead analysis is built on.
 Run:  python examples/comm_characterization.py
 """
 
+from repro.api import run_job
 from repro.encmpi import CryptoPlan, EncryptedComm, SecurityConfig
 from repro.models.cpu import parse_cluster_spec
-from repro.simmpi import run_program
 from repro.workloads.nas.common import NasComm
 from repro.workloads.nas import get_benchmark
 
@@ -34,7 +34,7 @@ def characterize(library: str | None):
         comm = NasComm(ctx, enc)
         bench.skeleton(comm, 0)  # one iteration
 
-    result = run_program(NRANKS, prog, cluster=CLUSTER, trace=True)
+    result = run_job(prog, nranks=NRANKS, cluster=CLUSTER, trace=True)
     return result.trace
 
 

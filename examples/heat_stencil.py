@@ -16,9 +16,9 @@ Run:  python examples/heat_stencil.py
 
 import numpy as np
 
+from repro.api import run_job
 from repro.encmpi import EncryptedComm, SecurityConfig
 from repro.models.cpu import parse_cluster_spec
-from repro.simmpi import run_program
 
 GRID = 96  # global grid: GRID x GRID
 STEPS = 25
@@ -100,7 +100,8 @@ def distributed(ctx):
 def main() -> None:
     expected = reference_solution()
     for network in ("ethernet", "infiniband"):
-        result = run_program(NRANKS, distributed, network=network, cluster=CLUSTER)
+        result = run_job(distributed, nranks=NRANKS, network=network,
+                         cluster=CLUSTER)
         blocks = [r[0] for r in result.results]
         assembled = np.vstack(blocks)
         assert assembled.shape == expected.shape

@@ -14,10 +14,10 @@ time on both fabrics.
 Run:  python examples/key_exchange_demo.py
 """
 
+from repro.api import run_job
 from repro.encmpi import EncryptedComm, SecurityConfig
 from repro.encmpi.keyexchange import establish_session_key
 from repro.models.cpu import parse_cluster_spec
-from repro.simmpi import run_program
 from repro.util.units import format_time
 
 CLUSTER = parse_cluster_spec("4x4")
@@ -47,7 +47,7 @@ def job(ctx):
 
 def main() -> None:
     for network in ("ethernet", "infiniband"):
-        result = run_program(NRANKS, job, network=network, cluster=CLUSTER)
+        result = run_job(job, nranks=NRANKS, network=network, cluster=CLUSTER)
         times = [r[0] for r in result.results]
         fingerprints = {r[1] for r in result.results}
         assert len(fingerprints) == 1, "all ranks must derive the same key"

@@ -19,11 +19,11 @@ Run:  python examples/pipelined_encryption.py
 
 # verify-sizes: 2  (sender/receiver pair; the pipeline study is 1-to-1)
 
+from repro.api import run_job
 from repro.encmpi import CryptoPlan, EncryptedComm, SecurityConfig
 from repro.encmpi.pipeline import plan_pipeline
 from repro.models.cpu import parse_cluster_spec
 from repro.models.cryptolib import get_profile
-from repro.simmpi import run_program
 from repro.util.units import KiB, MiB, format_time
 
 SIZE = 2 * MiB
@@ -68,16 +68,16 @@ def pipelined(chunk):
 
 
 def main() -> None:
-    t_base = run_program(2, baseline, network="infiniband", cluster=CLUSTER).results[1]
-    t_serial = run_program(2, serial, network="infiniband", cluster=CLUSTER).results[1]
+    t_base = run_job(baseline, network="infiniband", cluster=CLUSTER).results[1]
+    t_serial = run_job(serial, network="infiniband", cluster=CLUSTER).results[1]
     print(f"2MB over InfiniBand: baseline {format_time(t_base)}, "
           f"serial AES-GCM {format_time(t_serial)} "
           f"(+{(t_serial / t_base - 1) * 100:.0f}%)")
 
     print("\npipelined encryption (CryptoPlan mode='cryptmpi', 8 cores/node):")
     for chunk in (1 * MiB, 512 * KiB, 256 * KiB, 128 * KiB, 64 * KiB):
-        t = run_program(
-            2, pipelined(chunk), network="infiniband", cluster=CLUSTER
+        t = run_job(
+            pipelined(chunk), network="infiniband", cluster=CLUSTER
         ).results[1]
         print(f"  chunk {str(chunk // KiB).rjust(4)}KB: {format_time(t)} "
               f"(+{(t / t_base - 1) * 100:5.1f}% vs baseline)")

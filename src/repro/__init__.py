@@ -28,8 +28,8 @@ def __getattr__(name):
 
     The stable public surface is :mod:`repro.api` (``run_job``,
     ``sweep``, ``get_experiment`` and their result dataclasses), all
-    re-exported here.  The pre-facade names (``run_program``,
-    ``EncryptedComm``, ``SecurityConfig``) remain supported.
+    re-exported here, alongside ``EncryptedComm`` and
+    ``SecurityConfig``.
 
     Lazy so that ``import repro`` stays instant (the simulator and
     crypto stacks only load when touched).
@@ -44,10 +44,6 @@ def __getattr__(name):
         from repro.crypto.aead import get_aead
 
         return get_aead
-    if name == "run_program":
-        from repro.simmpi import run_program
-
-        return run_program
     if name == "EncryptedComm":
         from repro.encmpi import EncryptedComm
 
@@ -72,8 +68,7 @@ __all__ = [
     "TraceMode",
     "parse_trace_mode",
     "get_aead",
-    # pre-facade conveniences (kept stable)
-    "run_program",
+    # the encrypted layer
     "EncryptedComm",
     "SecurityConfig",
 ]

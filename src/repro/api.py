@@ -29,8 +29,7 @@ Design rules of the facade:
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.des.options import EngineOptions, parse_engine_options
@@ -51,13 +50,19 @@ from repro.simmpi.resilience import (
     ResilienceReport,
     parse_resilience_policy,
 )
-from repro.simmpi.tracing import (
+from repro.simmpi.tracing import (  # noqa: F401 - CommTrace: JobResult.trace
     CommTrace,
     TraceMode,
     TraceRecorder,
     parse_trace_mode,
 )
-from repro.simmpi.world import RankContext, run_program
+from repro.simmpi.world import (
+    JobResult,
+    RankContext,
+    _network_name,
+    _require_faults,
+    run_job,
+)
 
 if TYPE_CHECKING:
     from repro.experiments.campaign import CampaignResult
@@ -99,55 +104,6 @@ __all__ = [
     "verify_job",
 ]
 
-def _require(name: str, value: Any, cls: type, hint: str = "") -> None:
-    """Reject a setting of the wrong type before any rank runs."""
-    if value is not None and not isinstance(value, cls):
-        raise TypeError(
-            f"{name} must be a {cls.__name__} or None, got {value!r}{hint}"
-        )
-
-
-def _require_faults(faults: Any) -> None:
-    _require("faults", faults, FaultPlan,
-             "; declare the rates, seed and filters as a FaultPlan, or "
-             "parse a spec string like 'corrupt=0.1,seed=3' with "
-             "parse_fault_plan")
-
-
-@dataclass(frozen=True)
-class JobResult:
-    """Outcome of one :func:`run_job` invocation."""
-
-    #: per-rank return values of the workload
-    results: list
-    #: virtual makespan of the job in seconds
-    duration: float
-    #: per-rank (start, end) virtual times
-    spans: list = field(default_factory=list)
-    #: observability payload: a :class:`repro.simmpi.tracing.CommTrace`
-    #: when run_job(trace=True); a
-    #: :class:`repro.simmpi.tracing.TraceRecorder` (full structured
-    #: event stream, ``.comm`` holds the CommTrace view) when
-    #: run_job(trace="events") or a recorder instance; else None
-    trace: CommTrace | TraceRecorder | None = None
-    #: the security configuration the job ran under (None = plain MPI)
-    security: SecurityConfig | None = None
-    #: fabric name the job ran on
-    network: str = "ethernet"
-    #: a :class:`repro.analysis.sanitize.SanitizerReport` when the job
-    #: ran with ``sanitize=True`` (None otherwise); a job with leaks
-    #: raises :class:`repro.analysis.sanitize.SanitizerError` instead
-    #: of returning
-    sanitizer: Any = None
-    #: a :class:`repro.simmpi.resilience.ResilienceReport` when the job
-    #: ran with a :class:`ResiliencePolicy` armed (None otherwise)
-    resilience: ResilienceReport | None = None
-    #: a :class:`repro.experiments.stats.JobStats` when the job ran
-    #: with a :class:`StatsSpec` armed (None otherwise): the per-
-    #: repetition duration samples plus the bootstrap estimate.  The
-    #: rest of the result (results/trace/reports) is repetition 0's.
-    stats: JobStats | None = None
-
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -161,137 +117,6 @@ class SweepPoint:
     def label(self) -> str:
         lib = self.security.library if self.security is not None else "baseline"
         return f"{self.network}/{lib}"
-
-
-def _network_name(network: str | FabricSpec | NetworkModel) -> str:
-    if isinstance(network, str):
-        return network
-    if isinstance(network, FabricSpec):
-        return network.token()
-    return network.name
-
-
-def run_job(
-    workload: Callable[[RankContext], Any],
-    *,
-    nranks: int = 2,
-    security: SecurityConfig | None = None,
-    network: str | FabricSpec | NetworkModel = "ethernet",
-    cluster: ClusterSpec | None = None,
-    placement: str = "block",
-    trace: TraceMode = False,
-    faults: FaultPlan | None = None,
-    sanitize: bool | None = None,
-    resilience: ResiliencePolicy | None = None,
-    engine: EngineOptions | str | None = None,
-    stats: StatsSpec | str | None = None,
-) -> JobResult:
-    """Run *workload* on *nranks* simulated ranks; the facade's mpiexec.
-
-    With *security* set, each rank's context carries ``ctx.enc`` — an
-    :class:`EncryptedComm` configured per the paper's Algorithm 1 — and
-    the workload chooses per call whether to speak plain (``ctx.comm``)
-    or encrypted (``ctx.enc``) MPI.  All arguments except the workload
-    are keyword-only.
-
-    *trace* selects the observability level (:data:`TraceMode`).
-    ``False`` (default) costs nothing; ``True`` aggregates per-route
-    statistics into a CommTrace; ``"events"`` — or a
-    :class:`repro.simmpi.tracing.TraceRecorder` you construct yourself
-    — records the full structured event stream (engine, transport,
-    collective, AEAD layers) and per-rank counters, exportable as JSONL
-    or a Chrome ``about://tracing`` file.  Unknown strings raise
-    :class:`ValueError` up front (see :func:`parse_trace_mode`).
-
-    *sanitize* arms the runtime sanitizer
-    (:mod:`repro.analysis.sanitize`): deadlock diagnosis with the
-    wait-for cycle, leaked-request tracking at job end, and nonce-reuse
-    checking on every AEAD seal.  The report rides on
-    ``JobResult.sanitizer``; virtual timing is unaffected.  None defers
-    to the process-wide default (:mod:`repro.defaults`), as does
-    *engine* (an :class:`EngineOptions` or a runtime name like
-    ``"coroutines"``), which picks the rank runtime.
-
-    *faults* takes a declarative :class:`FaultPlan`; every job — and
-    every repetition of a stats-armed job — builds its own seeded
-    injector from it.  Anything else raises :class:`TypeError`.
-    *resilience* arms the reliable-delivery layer
-    (:class:`repro.simmpi.resilience.ResiliencePolicy`): retransmission
-    timers, NACK + fresh-nonce retransmission of auth failures, and
-    policy-driven escalation; the job-wide
-    :class:`~repro.simmpi.resilience.ResilienceReport` rides on
-    ``JobResult.resilience``.  *cluster* defaults to the paper's testbed
-    (:data:`PAPER_CLUSTER`).
-
-    *network* accepts a bare fabric name (``"ethernet"``), a fabric
-    spec string (``"wan:jitter=10%,loss=2%,seed=7"``), a
-    :class:`FabricSpec`, or a prebuilt model.  *stats* (a
-    :class:`StatsSpec` or ``"reps=20,confidence=95%"``) runs the job as
-    seeded repetitions — each offsets the fabric's noise seed — and
-    attaches the samples + bootstrap CI as ``JobResult.stats``.
-    """
-    if isinstance(stats, str):
-        stats = parse_stats_spec(stats)
-    _require("stats", stats, StatsSpec, "; a spec string like 'reps=20' also works")
-    _require("cluster", cluster, ClusterSpec)
-    _require("resilience", resilience, ResiliencePolicy)
-    _require_faults(faults)
-    if security is None:
-        program = workload
-    elif inspect.isgeneratorfunction(workload):
-        from repro.encmpi.context import EncryptedComm
-
-        # the wrapper must stay a generator function so run_program's
-        # runtime="auto" still sees a coroutine-capable workload
-        def program(ctx: RankContext):
-            ctx.enc = EncryptedComm(ctx, security)
-            return (yield from workload(ctx))
-
-    else:
-        from repro.encmpi.context import EncryptedComm
-
-        def program(ctx: RankContext) -> Any:
-            ctx.enc = EncryptedComm(ctx, security)
-            return workload(ctx)
-
-    def _execute(net) -> JobResult:
-        sim = run_program(
-            nranks,
-            program,
-            network=net,
-            cluster=cluster if cluster is not None else PAPER_CLUSTER,
-            placement=placement,
-            trace=trace,
-            fault_injector=faults.build() if faults is not None else None,
-            sanitize=sanitize,
-            resilience=resilience,
-            engine=engine,
-        )
-        return JobResult(
-            results=sim.results,
-            duration=sim.duration,
-            spans=sim.spans,
-            trace=sim.trace,
-            security=security,
-            network=_network_name(network),
-            sanitizer=sim.sanitizer,
-            resilience=sim.resilience,
-        )
-
-    if stats is None:
-        return _execute(network)
-    if isinstance(trace, TraceRecorder) and stats.reps > 1:
-        raise RuntimeError(
-            "one TraceRecorder cannot be shared across repetitions; use "
-            "trace='events' so each repetition records its own stream"
-        )
-    from repro.experiments.stats import job_stats, rep_networks
-
-    runs = [_execute(net) for net in rep_networks(network, stats)]
-    return replace(
-        runs[0],
-        stats=job_stats(tuple(r.duration for r in runs), stats),
-    )
 
 
 def sweep(
@@ -331,6 +156,10 @@ def sweep(
     the canonical token.  *stats* arms seeded repetitions per cell.
     """
     _require_faults(faults)
+    if isinstance(parallel, bool) or not isinstance(parallel, int):
+        raise TypeError(f"parallel must be a positive int, got {parallel!r}")
+    if parallel < 1:
+        raise ValueError(f"parallel must be >= 1, got {parallel}")
     securities = tuple(securities)
     networks = tuple(networks)
     cells = [(net, sec) for net in networks for sec in securities]

@@ -147,3 +147,18 @@ def apply_default_plan(plan: CryptoPlan) -> CryptoPlan:
         chunk_bytes=default.chunk_bytes,
         helper_cores=default.helper_cores,
     )
+
+
+def workload_plan(library: str | None,
+                  crypto: CryptoPlan | None = None) -> CryptoPlan | None:
+    """The plan a benchmark workload seals with; None for the baseline.
+
+    *crypto* contributes the pipelining discipline (None adopts the
+    process-wide default through :func:`apply_default_plan`); the
+    workload's own *library* and the simulator's ``"modeled"`` byte work
+    always override it.
+    """
+    if library is None:
+        return None
+    base = crypto if crypto is not None else apply_default_plan(CryptoPlan())
+    return replace(base, library=library, bytework="modeled")

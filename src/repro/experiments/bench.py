@@ -181,7 +181,7 @@ def _bench_process_handoff_coro(mode: str) -> dict:
 @_bench("simmpi_messages", "simulated point-to-point message rate")
 def _bench_simmpi_messages(mode: str) -> dict:
     from repro.models.cpu import TWO_NODE_CLUSTER
-    from repro.simmpi import run_program
+    from repro.simmpi.world import run_job
 
     n = 2_000 if mode == "full" else 200
 
@@ -195,7 +195,7 @@ def _bench_simmpi_messages(mode: str) -> dict:
 
     return {
         "seconds": _timed(
-            lambda: run_program(2, prog, cluster=TWO_NODE_CLUSTER)
+            lambda: run_job(prog, nranks=2, cluster=TWO_NODE_CLUSTER)
         ),
         "messages": n,
     }

@@ -20,6 +20,7 @@ from repro.experiments.report import Artifact
 from repro.models.cpu import parse_cluster_spec
 from repro.simmpi.faults import FaultPlan
 from repro.simmpi.resilience import ResiliencePolicy
+from repro.simmpi.world import run_job
 from repro.util.tables import Table
 
 #: two ranks on two nodes — the paper's ping-pong placement, so every
@@ -83,10 +84,6 @@ def _pingpong(ctx):
 
 
 def _run_cell(plan: FaultPlan, policy: ResiliencePolicy):
-    # imported lazily: repro.api itself imports the experiment registry,
-    # which imports this module
-    from repro.api import run_job
-
     return run_job(
         _pingpong,
         nranks=2,

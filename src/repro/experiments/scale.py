@@ -31,7 +31,7 @@ from repro.experiments.report import Artifact
 from repro.models.cpu import parse_cluster_spec
 from repro.models.cryptolib import PROFILED_LIBRARIES, profile_for_network
 from repro.simmpi.collectives.fluid import fluid_alltoall_phases, fluid_alltoall_program
-from repro.simmpi.world import run_program
+from repro.simmpi.world import run_job
 from repro.util.tables import Figure
 from repro.util.units import KiB
 
@@ -80,9 +80,9 @@ def _measure(nranks: int, network: str, library: str | None,
         profile=profile,
         pipelined=pipelined,
     )
-    result = run_program(
-        nranks,
+    result = run_job(
         fluid_alltoall_program(phases),
+        nranks=nranks,
         network=network,
         cluster=SCALE_CLUSTER,
         engine=EngineOptions(runtime="coroutines"),

@@ -33,37 +33,38 @@ def pipeline_waves(nchunks: int, cores: int) -> int:
     return -(-nchunks // cores)
 
 
+#: how ranks map onto nodes (see :meth:`ClusterSpec.node_of`)
+PLACEMENTS = ("block", "roundrobin")
+
+
+def check_placement(placement: str) -> None:
+    """Reject an unknown rank placement, naming the valid ones."""
+    if placement not in PLACEMENTS:
+        raise ValueError(
+            f"unknown placement {placement!r}; valid: " + ", ".join(PLACEMENTS)
+        )
+
+
 @dataclass(frozen=True)
 class ClusterSpec:
-    """Static description of the simulated cluster.
-
-    ``fabric`` optionally names the interconnect the spec was written
-    for (``"ethernet"``/``"ib"``); it is carried verbatim into
-    :meth:`token` — and thus campaign cache keys — but the network a
-    job actually uses still comes from the ``network=`` argument.
-    """
+    """Static description of the simulated cluster (its shape only;
+    the network a job uses comes from the ``network=`` argument)."""
 
     nodes: int
     cores_per_node: int
-    fabric: str | None = None
 
     def __post_init__(self) -> None:
         if self.nodes < 1 or self.cores_per_node < 1:
             raise ValueError(f"invalid cluster shape {self}")
-        if self.fabric is not None and (
-            not isinstance(self.fabric, str) or not self.fabric.strip()
-        ):
-            raise ValueError(f"fabric must be a non-empty string, got {self.fabric!r}")
 
     @property
     def total_cores(self) -> int:
         return self.nodes * self.cores_per_node
 
     def token(self) -> str:
-        """Canonical ``"NODESxCORES[:fabric]"`` form (stable: the
-        campaign digests cluster shapes through it)."""
-        base = f"{self.nodes}x{self.cores_per_node}"
-        return f"{base}:{self.fabric}" if self.fabric is not None else base
+        """Canonical ``"NODESxCORES"`` form (stable: the campaign
+        digests cluster shapes through it)."""
+        return f"{self.nodes}x{self.cores_per_node}"
 
     def validate_ranks(self, nranks: int) -> None:
         if nranks < 1:
@@ -87,19 +88,18 @@ class ClusterSpec:
         self.validate_ranks(nranks)
         if not 0 <= rank < nranks:
             raise ValueError(f"rank {rank} out of range for {nranks} ranks")
-        if placement == "block":
-            per_node, extra = divmod(nranks, self.nodes)
-            if per_node == 0:
-                # Fewer ranks than nodes: one rank per node.
-                return rank
-            # First `extra` nodes hold one extra rank.
-            boundary = (per_node + 1) * extra
-            if rank < boundary:
-                return rank // (per_node + 1)
-            return extra + (rank - boundary) // per_node
-        if placement == "roundrobin":
-            return rank % self.nodes
-        raise ValueError(f"unknown placement {placement!r}")
+        if placement != "block":
+            check_placement(placement)
+            return rank % self.nodes  # roundrobin
+        per_node, extra = divmod(nranks, self.nodes)
+        if per_node == 0:
+            # Fewer ranks than nodes: one rank per node.
+            return rank
+        # First `extra` nodes hold one extra rank.
+        boundary = (per_node + 1) * extra
+        if rank < boundary:
+            return rank // (per_node + 1)
+        return extra + (rank - boundary) // per_node
 
     def ranks_on_node(self, node: int, nranks: int, placement: str = "block") -> list[int]:
         return [
@@ -210,25 +210,23 @@ class CoreAllocator:
 
 
 def parse_cluster_spec(spec: str) -> ClusterSpec:
-    """Parse ``"NODESxCORES[:fabric]"`` into a :class:`ClusterSpec`.
+    """Parse ``"NODESxCORES"`` into a :class:`ClusterSpec`.
 
     The string form of the cluster shape, joining the ``parse_*`` spec
     family (:func:`repro.encmpi.plan.parse_crypto_plan`,
     :func:`repro.des.options.parse_engine_options`, …)::
 
         parse_cluster_spec("8x8")       # the paper's testbed
-        parse_cluster_spec("2x8:ib")    # two nodes, written for IB
+        parse_cluster_spec("2x8")       # the ping-pong slice
 
     Round-trips with :meth:`ClusterSpec.token`.  Malformed shapes raise
     :class:`ValueError` describing the grammar.
     """
-    body, _sep, fabric = spec.strip().partition(":")
-    fabric = fabric.strip() or None
-    nodes_s, sep, cores_s = body.partition("x")
+    nodes_s, sep, cores_s = spec.strip().partition("x")
     if not sep:
         raise ValueError(
-            f"malformed cluster spec {spec!r} (need 'NODESxCORES[:fabric]', "
-            "e.g. '8x8' or '2x8:ib')"
+            f"malformed cluster spec {spec!r} (need 'NODESxCORES', "
+            "e.g. '8x8')"
         )
     try:
         nodes, cores = int(nodes_s), int(cores_s)
@@ -237,7 +235,7 @@ def parse_cluster_spec(spec: str) -> ClusterSpec:
             f"malformed cluster spec {spec!r}: nodes and cores must be "
             "integers (e.g. '8x8')"
         ) from None
-    return ClusterSpec(nodes=nodes, cores_per_node=cores, fabric=fabric)
+    return ClusterSpec(nodes=nodes, cores_per_node=cores)
 
 
 #: The paper's testbed.

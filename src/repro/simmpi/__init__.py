@@ -7,8 +7,8 @@ from the calibrated fabric models.
 
 Public surface:
 
-- :func:`repro.simmpi.world.run_program` — launch ``nranks`` copies of a
-  rank program on a simulated cluster,
+- :func:`repro.simmpi.world.run_job` (re-exported by :mod:`repro.api`)
+  — launch ``nranks`` copies of a rank program on a simulated cluster,
 - :class:`repro.simmpi.comm.CommHandle` — the per-rank communicator API
   (``send/recv/isend/irecv/wait/waitall/sendrecv`` plus the collectives
   the paper instruments: ``bcast/allgather/alltoall/alltoallv`` and the
@@ -19,7 +19,7 @@ Public surface:
 from repro.simmpi import ops
 from repro.simmpi.message import ANY_SOURCE, ANY_TAG
 from repro.simmpi.request import Request, Status
-from repro.simmpi.world import RankContext, SimResult, run_program
+from repro.simmpi.world import RankContext
 
 __all__ = [
     "ANY_SOURCE",
@@ -27,7 +27,5 @@ __all__ = [
     "Request",
     "Status",
     "RankContext",
-    "SimResult",
-    "run_program",
     "ops",
 ]

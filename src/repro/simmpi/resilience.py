@@ -459,7 +459,7 @@ class ReliabilityManager:
         return net.latency + net.proto_delay(wire) + transfer
 
     def report(self) -> ResilienceReport:
-        """Frozen job-wide summary (attached to SimResult/JobResult)."""
+        """Frozen job-wide summary (attached to JobResult)."""
         return ResilienceReport(
             policy=self.policy,
             tracked=self.tracked,

@@ -1,7 +1,6 @@
 """Structured event tracing and aggregate communication statistics.
 
-Two levels of observability, selected by ``run_program(..., trace=...)``
-(or ``api.run_job(trace=...)``):
+Two levels of observability, selected by ``run_job(..., trace=...)``:
 
 - ``trace=True`` — the lightweight aggregate view: a :class:`CommTrace`
   with per-route traffic statistics (bytes per rank pair, message-size
@@ -196,10 +195,10 @@ class RankCounters:
 class TraceRecorder:
     """Records typed events and per-rank counters for one simulated job.
 
-    Create one and pass it to ``run_program(trace=recorder)`` /
-    ``api.run_job(trace=recorder)`` — or pass ``trace="events"`` and
-    take the recorder from the result.  A recorder binds to exactly one
-    job (its clock); reusing one across jobs is an error.
+    Create one and pass it to ``run_job(trace=recorder)`` — or pass
+    ``trace="events"`` and take the recorder from the result.  A
+    recorder binds to exactly one job (its clock); reusing one across
+    jobs is an error.
 
     The embedded :attr:`comm` is the classic :class:`CommTrace`
     aggregate view, fed by the same transport-layer recording.
@@ -384,7 +383,7 @@ class TraceRecorder:
 
 
 #: The typed trace selector every tracing entry point shares
-#: (``run_program``, ``api.run_job``, ``api.sweep``, the ``trace`` CLI):
+#: (``run_job``, ``api.sweep``, the ``trace`` CLI):
 #: ``False`` — off (zero cost); ``True`` — aggregate :class:`CommTrace`;
 #: ``"events"`` — fresh :class:`TraceRecorder` with the full structured
 #: stream; or a caller-constructed :class:`TraceRecorder`.

@@ -61,7 +61,7 @@ class Transport:
         #: optional FaultInjector applied at delivery time
         self.fault_injector = None
         #: optional ReliabilityManager (repro.simmpi.resilience) armed
-        #: by run_program(resilience=...); None = the historical
+        #: by run_job(resilience=...); None = the historical
         #: fire-and-forget transport, byte-identical behaviour
         self.resilience = None
         self.engines: list[MatchingEngine] = [

@@ -15,15 +15,13 @@ from __future__ import annotations
 
 # verify-sizes: 2  (a strictly two-rank exchange; ranks >= 2 never exist)
 
-from dataclasses import replace
-
-from repro.encmpi import CryptoPlan, EncryptedComm, SecurityConfig
-from repro.encmpi.plan import apply_default_plan
+from repro.encmpi import CryptoPlan, SecurityConfig
+from repro.encmpi.plan import workload_plan
 from repro.models.cpu import parse_cluster_spec
 from repro.models.network import FabricSpec
-from repro.simmpi import run_program
 from repro.simmpi.faults import FaultPlan
 from repro.simmpi.resilience import ResiliencePolicy
+from repro.simmpi.world import run_job
 
 #: Two nodes, client and server on different nodes (as in ping-pong).
 MTLATENCY_CLUSTER = parse_cluster_spec("2x8")
@@ -61,55 +59,48 @@ def mtlatency_round_time(
         raise ValueError(f"iters must be >= 1, got {iters}")
     payload = b"\x4d" * size
     out = [0.0]
-    plan = None
-    if library is not None:
-        base = crypto if crypto is not None \
-            else apply_default_plan(CryptoPlan())
-        plan = replace(base, library=library, bytework="modeled")
+    plan = workload_plan(library, crypto)
+    security = None if plan is None \
+        else SecurityConfig(key_bits=key_bits, crypto=plan)
 
     def co_program(ctx):
-        if plan is None:
-            comm = ctx.comm
-            co_isend = lambda d, p: comm.co_isend(p, d, tag=TAG_MTLATENCY)
-            irecv = lambda s: comm.irecv(s, TAG_MTLATENCY)
-            co_waitall = comm.co_waitall
-        else:
-            enc = EncryptedComm(
-                ctx, SecurityConfig(key_bits=key_bits, crypto=plan),
-            )
-            co_isend = lambda d, p: enc.co_isend(p, d, tag=TAG_MTLATENCY)
-            irecv = lambda s: enc.irecv(s, TAG_MTLATENCY)
-            co_waitall = enc.co_waitall
-
+        comm = ctx.comm if ctx.enc is None else ctx.enc
         if ctx.rank == 0:  # client
             for _ in range(1):  # warmup round (excluded from timing)
                 reqs = []
                 for _ in range(channels):
-                    reqs.append((yield from co_isend(1, payload)))
-                yield from co_waitall(reqs)
-                yield from co_waitall([irecv(1) for _ in range(channels)])
+                    reqs.append((yield from comm.co_isend(
+                        payload, 1, tag=TAG_MTLATENCY)))
+                yield from comm.co_waitall(reqs)
+                yield from comm.co_waitall(
+                    [comm.irecv(1, TAG_MTLATENCY) for _ in range(channels)])
             t0 = ctx.now
             for _ in range(iters):
                 reqs = []
                 for _ in range(channels):
-                    reqs.append((yield from co_isend(1, payload)))
-                yield from co_waitall(reqs)
-                yield from co_waitall([irecv(1) for _ in range(channels)])
+                    reqs.append((yield from comm.co_isend(
+                        payload, 1, tag=TAG_MTLATENCY)))
+                yield from comm.co_waitall(reqs)
+                yield from comm.co_waitall(
+                    [comm.irecv(1, TAG_MTLATENCY) for _ in range(channels)])
             out[0] = (ctx.now - t0) / iters
         else:  # server: `channels` concurrent service threads
             for _ in range(iters + 1):
-                yield from co_waitall([irecv(0) for _ in range(channels)])
+                yield from comm.co_waitall(
+                    [comm.irecv(0, TAG_MTLATENCY) for _ in range(channels)])
                 reqs = []
                 for _ in range(channels):
-                    reqs.append((yield from co_isend(0, payload)))
-                yield from co_waitall(reqs)
+                    reqs.append((yield from comm.co_isend(
+                        payload, 0, tag=TAG_MTLATENCY)))
+                yield from comm.co_waitall(reqs)
 
-    run_program(
-        2,
+    run_job(
         co_program,
+        nranks=2,
+        security=security,
         network=network,
         cluster=MTLATENCY_CLUSTER,
-        fault_injector=faults.build() if faults is not None else None,
+        faults=faults,
         resilience=resilience,
     )
     return out[0]

@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.encmpi import CryptoPlan, EncryptedComm, SecurityConfig
-from repro.encmpi.plan import apply_default_plan
+from repro.encmpi.plan import workload_plan
 from repro.models.cpu import PAPER_CLUSTER, ClusterSpec
 from repro.models.network import FabricSpec, as_fabric_spec
-from repro.simmpi import RankContext, run_program
 from repro.simmpi.faults import FaultPlan
 from repro.simmpi.resilience import ResiliencePolicy
+from repro.simmpi.world import RankContext, run_job
 
 #: Paper Table IV / VIII unencrypted totals (seconds): calibration
 #: inputs for the compute model (class C, 64 ranks / 8 nodes).
@@ -163,26 +163,23 @@ _comm_time_cache: dict[tuple, float] = {}
 def _simulate_comm_time(
     name: str,
     network: str | FabricSpec,
-    library: str | None,
+    plan: CryptoPlan | None,
     nranks: int,
     cluster: ClusterSpec,
     sim_iters: int,
     faults: FaultPlan | None = None,
     resilience: ResiliencePolicy | None = None,
-    crypto: CryptoPlan | None = None,
 ) -> float:
-    """Virtual seconds for `sim_iters` iterations of pure communication."""
+    """Virtual seconds for `sim_iters` iterations of pure communication
+    (*plan* None = the unencrypted baseline)."""
     bench = get_benchmark(name)
 
     def program(ctx):
         enc = None
-        if library is not None:
+        if plan is not None:
             enc = EncryptedComm(
                 ctx,
-                SecurityConfig(crypto=replace(
-                    crypto if crypto is not None else CryptoPlan(),
-                    library=library, bytework="modeled",
-                )),
+                SecurityConfig(crypto=plan),
                 crypto_slowdown=bench.crypto_slowdown(),
             )
         comm = NasComm(ctx, enc)
@@ -193,12 +190,9 @@ def _simulate_comm_time(
         ctx.comm.barrier()
         return ctx.now - t0
 
-    result = run_program(
-        nranks, program, network=network, cluster=cluster,
-        # fresh seeded injector per simulation: the plan is the value,
-        # the injector (RNG stream + ledger) is per-run state
-        fault_injector=faults.build() if faults is not None else None,
-        resilience=resilience,
+    result = run_job(
+        program, nranks=nranks, network=network, cluster=cluster,
+        faults=faults, resilience=resilience,
     )
     return max(result.results)
 
@@ -241,19 +235,13 @@ def run_nas(
     token = fabric.token()
     # Resolve the effective plan up front (baseline cells carry no
     # crypto at all, so they memoize independently of any plan).
-    effective_crypto = None
-    if library is not None:
-        effective_crypto = replace(
-            crypto if crypto is not None
-            else apply_default_plan(CryptoPlan()),
-            library=library, bytework="modeled",
-        )
+    effective_crypto = workload_plan(library, crypto)
     key = (name, token, library, nranks, cluster, sim_iters,
            faults, resilience, effective_crypto)
     if key not in _comm_time_cache:
         _comm_time_cache[key] = _simulate_comm_time(
-            name, fabric, library, nranks, cluster, sim_iters,
-            faults=faults, resilience=resilience, crypto=effective_crypto,
+            name, fabric, effective_crypto, nranks, cluster, sim_iters,
+            faults=faults, resilience=resilience,
         )
     comm_per_iter = _comm_time_cache[key] / sim_iters
     comm_total = comm_per_iter * bench.iterations

@@ -9,10 +9,10 @@ deterministic so a couple of post-warmup iterations give the same mean.
 
 from __future__ import annotations
 
-from repro.encmpi import CryptoPlan, EncryptedComm, SecurityConfig
-from repro.encmpi.plan import apply_default_plan
+from repro.encmpi import SecurityConfig
+from repro.encmpi.plan import workload_plan
 from repro.models.cpu import PAPER_CLUSTER, ClusterSpec
-from repro.simmpi import run_program
+from repro.simmpi.world import run_job
 
 DEFAULT_ITERS = 2
 
@@ -44,45 +44,25 @@ def collective_latency(
     payload = b"\x3c" * size
     per_rank_mean: list[float] = [0.0] * nranks
 
+    plan = workload_plan(library)
+    security = None if plan is None \
+        else SecurityConfig(key_bits=key_bits, crypto=plan)
+
     def program(ctx):
-        enc = None
-        if library is not None:
-            enc = EncryptedComm(
-                ctx,
-                SecurityConfig(
-                    key_bits=key_bits,
-                    crypto=apply_default_plan(
-                        CryptoPlan(library=library, bytework="modeled")
-                    ),
-                ),
-            )
+        comm = ctx.comm if ctx.enc is None else ctx.enc
 
         def run_op():
             if op == "bcast":
                 data = payload if ctx.rank == 0 else None
-                if enc is None:
-                    ctx.comm.bcast(data, 0, nbytes=size)
-                else:
-                    enc.bcast(data, 0, nbytes=size)
+                comm.bcast(data, 0, nbytes=size)
             elif op == "allgather":
-                if enc is None:
-                    ctx.comm.allgather(payload)
-                else:
-                    enc.allgather(payload)
+                comm.allgather(payload)
             elif op == "alltoallv":
                 # osu_alltoallv's default: uniform counts through the
                 # v-variant interface.
-                chunks = [payload] * ctx.size
-                if enc is None:
-                    ctx.comm.alltoallv(chunks)
-                else:
-                    enc.alltoallv(chunks)
+                comm.alltoallv([payload] * ctx.size)
             else:
-                chunks = [payload] * ctx.size
-                if enc is None:
-                    ctx.comm.alltoall(chunks)
-                else:
-                    enc.alltoall(chunks)
+                comm.alltoall([payload] * ctx.size)
 
         run_op()  # warmup
         ctx.comm.barrier()
@@ -94,5 +74,6 @@ def collective_latency(
             ctx.comm.barrier()
         per_rank_mean[ctx.rank] = total / iters
 
-    run_program(nranks, program, network=network, cluster=cluster)
+    run_job(program, nranks=nranks, security=security, network=network,
+            cluster=cluster)
     return sum(per_rank_mean) / nranks

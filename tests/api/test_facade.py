@@ -1,8 +1,8 @@
 """Golden-path tests for the repro.api facade.
 
-The facade must be a zero-cost veneer: run_job with/without a
-SecurityConfig produces exactly the virtual timings and results of the
-direct simmpi/encmpi invocation it replaces.
+The facade must be a zero-cost veneer: run_job(security=...) produces
+exactly the virtual timings and results of a program that builds its
+own EncryptedComm.
 """
 
 import pytest
@@ -10,7 +10,6 @@ import pytest
 from repro import api
 from repro.encmpi import EncryptedComm, SecurityConfig
 from repro.models.cpu import ClusterSpec
-from repro.simmpi import run_program
 
 CLUSTER = ClusterSpec(nodes=2, cores_per_node=4)
 MESSAGE = b"\xa5" * 4096
@@ -23,18 +22,6 @@ def _plain_workload(ctx):
     data, _status = ctx.comm.recv(0, 7)
     assert data == MESSAGE
     return ctx.now
-
-
-def test_run_job_plain_matches_run_program():
-    direct = run_program(2, _plain_workload, network="ethernet", cluster=CLUSTER)
-    via_api = api.run_job(
-        _plain_workload, nranks=2, network="ethernet", cluster=CLUSTER
-    )
-    assert via_api.results == direct.results
-    assert via_api.duration == direct.duration
-    assert via_api.spans == direct.spans
-    assert via_api.security is None
-    assert via_api.network == "ethernet"
 
 
 def test_run_job_encrypted_matches_direct_encmpi():
@@ -58,7 +45,9 @@ def test_run_job_encrypted_matches_direct_encmpi():
         assert data == MESSAGE
         return ctx.now
 
-    direct = run_program(2, direct_program, network="ethernet", cluster=CLUSTER)
+    direct = api.run_job(
+        direct_program, nranks=2, network="ethernet", cluster=CLUSTER
+    )
     via_api = api.run_job(
         facade_workload, nranks=2, security=sec, network="ethernet", cluster=CLUSTER
     )
@@ -71,13 +60,32 @@ def test_run_job_without_security_leaves_enc_none():
     def workload(ctx):
         return ctx.enc
 
-    res = api.run_job(workload, nranks=2, cluster=CLUSTER)
+    res = api.run_job(workload, nranks=2, network="ethernet", cluster=CLUSTER)
     assert res.results == [None, None]
+    assert res.security is None
+    assert res.network == "ethernet"
 
 
 def test_run_job_arguments_are_keyword_only():
     with pytest.raises(TypeError):
         api.run_job(_plain_workload, 2)  # nranks positionally
+
+
+def test_unknown_placement_is_rejected_before_any_rank_runs():
+    def workload(ctx):
+        raise AssertionError("no rank may run")
+
+    with pytest.raises(ValueError, match="'cyclic'.*block, roundrobin"):
+        api.run_job(workload, nranks=2, cluster=CLUSTER, placement="cyclic")
+
+
+@pytest.mark.parametrize("parallel", [0, -1, "2", 1.5, True])
+def test_sweep_parallel_must_be_a_positive_int(parallel):
+    def workload(ctx):
+        raise AssertionError("no cell may run")
+
+    with pytest.raises((TypeError, ValueError), match="parallel"):
+        api.sweep(workload, nranks=2, cluster=CLUSTER, parallel=parallel)
 
 
 def test_sweep_grid_order_and_labels():

@@ -2,17 +2,17 @@
 
 import pytest
 
+from repro.api import run_job
 from repro.des.process import ProcessFailed
 from repro.encmpi import CryptoPlan, EncryptedComm, SecurityConfig
 from repro.models.cpu import ClusterSpec, TWO_NODE_CLUSTER
-from repro.simmpi import run_program
 from repro.util.units import KiB, MiB
 
 CLUSTER4 = ClusterSpec(nodes=4, cores_per_node=4)
 
 
 def _run(nranks, prog, cluster=TWO_NODE_CLUSTER, network="ethernet"):
-    return run_program(nranks, prog, cluster=cluster, network=network).results
+    return run_job(prog, nranks=nranks, cluster=cluster, network=network).results
 
 
 # ---- config -----------------------------------------------------------------

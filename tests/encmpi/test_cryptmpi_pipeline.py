@@ -18,9 +18,9 @@ The invariants pinned here:
 import pytest
 
 from repro import api, defaults
+from repro.api import run_job
 from repro.encmpi import CryptoPlan, EncryptedComm, SecurityConfig
 from repro.models.cpu import ClusterSpec
-from repro.simmpi import run_program
 from repro.simmpi.faults import FaultPlan
 from repro.simmpi.resilience import ResiliencePolicy
 
@@ -54,7 +54,7 @@ def _roundtrip(plan, cluster, size, **run_kwargs):
         data, status = enc.recv(0, TAG_BULK)
         return (data, status)
 
-    return payload, run_program(2, program, cluster=cluster, **run_kwargs)
+    return payload, run_job(program, nranks=2, cluster=cluster, **run_kwargs)
 
 
 def test_multichunk_roundtrip_is_transparent():
@@ -83,7 +83,7 @@ def test_windowed_interleave_never_cross_matches():
         reqs = [enc.irecv(0, TAG_BULK) for _ in range(n_msgs)]
         return [bytes(r.wait()) for r in reqs]
 
-    result = run_program(2, program, cluster=TWO_NODES)
+    result = run_job(program, nranks=2, cluster=TWO_NODES)
     assert result.results[1] == payloads
 
 
@@ -145,8 +145,8 @@ def test_pipelined_beats_serial_on_large_messages():
             enc.recv(0, TAG_BULK)
             return ctx.now
 
-        return run_program(
-            2, program, network="infiniband",
+        return run_job(
+            program, nranks=2, network="infiniband",
             cluster=ClusterSpec(nodes=2, cores_per_node=8),
         ).results[1]
 

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import run_job
 from repro.encmpi import EncryptedComm, SecurityConfig
 from repro.encmpi.keyexchange import establish_session_key
 from repro.encmpi.pipeline import plan_pipeline
 from repro.encmpi.replay import ReplayError, ReplayGuard, counter_of_nonce
 from repro.models.cpu import ClusterSpec, TWO_NODE_CLUSTER
 from repro.models.cryptolib import get_profile
-from repro.simmpi import run_program
 from repro.util.units import MiB
 
 
@@ -22,7 +22,7 @@ def test_all_ranks_derive_same_key():
     def prog(ctx):
         return establish_session_key(ctx, key_bits=256, epoch=7)
 
-    results = run_program(4, prog, cluster=ClusterSpec(2, 4)).results
+    results = run_job(prog, nranks=4, cluster=ClusterSpec(2, 4)).results
     assert len(set(results)) == 1
     assert len(results[0]) == 32
 
@@ -31,7 +31,7 @@ def test_key_exchange_single_rank():
     def prog(ctx):
         return establish_session_key(ctx)
 
-    res = run_program(1, prog, cluster=ClusterSpec(1, 1)).results
+    res = run_job(prog, nranks=1, cluster=ClusterSpec(1, 1)).results
     assert len(res[0]) == 32
 
 
@@ -41,7 +41,7 @@ def test_epochs_give_different_keys():
         k1 = establish_session_key(ctx, epoch=1)
         return (k0, k1)
 
-    results = run_program(2, prog, cluster=TWO_NODE_CLUSTER).results
+    results = run_job(prog, nranks=2, cluster=TWO_NODE_CLUSTER).results
     assert results[0] == results[1]
     assert results[0][0] != results[0][1]
 
@@ -58,7 +58,7 @@ def test_exchanged_key_drives_encrypted_comm():
             data, _status = enc.recv(0)
             return data
 
-    assert run_program(2, prog, cluster=TWO_NODE_CLUSTER).results[1] == payload
+    assert run_job(prog, nranks=2, cluster=TWO_NODE_CLUSTER).results[1] == payload
 
 
 def test_key_exchange_costs_time():
@@ -67,7 +67,7 @@ def test_key_exchange_costs_time():
         establish_session_key(ctx)
         return ctx.now - t0
 
-    results = run_program(4, prog, cluster=ClusterSpec(2, 4)).results
+    results = run_job(prog, nranks=4, cluster=ClusterSpec(2, 4)).results
     # At least two modexps per rank at ~1.5 ms each.
     assert all(t >= 2e-3 for t in results)
 
@@ -79,7 +79,7 @@ def test_bad_key_bits():
     from repro.des.process import ProcessFailed
 
     with pytest.raises(ProcessFailed):
-        run_program(1, prog, cluster=ClusterSpec(1, 1))
+        run_job(prog, nranks=1, cluster=ClusterSpec(1, 1))
 
 
 # ---- replay protection ---------------------------------------------------------
@@ -170,7 +170,7 @@ def test_replay_guard_end_to_end_with_counter_nonces():
                 return "replay-blocked"
             return "replay-accepted"
 
-    results = run_program(2, prog, cluster=TWO_NODE_CLUSTER).results
+    results = run_job(prog, nranks=2, cluster=TWO_NODE_CLUSTER).results
     assert results[1] == "replay-blocked"
 
 
@@ -227,9 +227,9 @@ def test_encrypted_comm_accepts_reordered_delivery_within_window():
 
         return prog
 
-    wide = run_program(2, make_prog(8), cluster=TWO_NODE_CLUSTER).results
+    wide = run_job(make_prog(8), nranks=2, cluster=TWO_NODE_CLUSTER).results
     assert wide[1] == [b"second", b"first"]
-    narrow = run_program(2, make_prog(1), cluster=TWO_NODE_CLUSTER).results
+    narrow = run_job(make_prog(1), nranks=2, cluster=TWO_NODE_CLUSTER).results
     assert narrow[1] == [b"second", "dropped"]
 
 
@@ -247,7 +247,7 @@ def test_encrypted_comm_replay_guards_are_per_source():
         b = enc.recv(1, tag=1)[0]  # counter 0 from source 1
         return (a, b)
 
-    res = run_program(3, prog, cluster=TWO_NODE_CLUSTER).results
+    res = run_job(prog, nranks=3, cluster=TWO_NODE_CLUSTER).results
     assert res[2] == (b"\x00" * 8, b"\x01" * 8)
 
 

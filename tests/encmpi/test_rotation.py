@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.api import run_job
 from repro.encmpi import SecurityConfig
 from repro.encmpi.rotation import RotatingKeyManager
 from repro.models.cpu import ClusterSpec
-from repro.simmpi import run_program
 
 CLUSTER = ClusterSpec(nodes=2, cores_per_node=4)
 
@@ -15,7 +15,7 @@ def test_initial_epoch_established_collectively():
         mgr = RotatingKeyManager(ctx)
         return (mgr.epoch, mgr.key_fingerprint)
 
-    results = run_program(4, prog, cluster=CLUSTER).results
+    results = run_job(prog, nranks=4, cluster=CLUSTER).results
     assert all(e == 0 for e, _fp in results)
     assert len({fp for _e, fp in results}) == 1  # same key everywhere
 
@@ -34,7 +34,7 @@ def test_rotation_triggers_on_traffic_threshold():
         fp1 = mgr.key_fingerprint
         return (rotated, fp0 != fp1, mgr.epoch)
 
-    results = run_program(2, prog, cluster=CLUSTER).results
+    results = run_job(prog, nranks=2, cluster=CLUSTER).results
     assert all(rotated for rotated, _c, _e in results)
     assert all(changed for _r, changed, _e in results)
     assert all(epoch == 1 for _r, _c, epoch in results)
@@ -49,7 +49,7 @@ def test_no_rotation_below_threshold():
             mgr.comm.recv(0)
         return mgr.maybe_rotate()
 
-    results = run_program(2, prog, cluster=CLUSTER).results
+    results = run_job(prog, nranks=2, cluster=CLUSTER).results
     assert results == [False, False]
 
 
@@ -68,7 +68,7 @@ def test_rotation_is_collective_even_if_one_rank_is_over():
         rotated = mgr.maybe_rotate()
         return (rotated, mgr.epoch, mgr.key_fingerprint)
 
-    results = run_program(4, prog, cluster=CLUSTER).results
+    results = run_job(prog, nranks=4, cluster=CLUSTER).results
     assert all(r for r, _e, _fp in results)
     assert len({fp for _r, _e, fp in results}) == 1
 
@@ -87,7 +87,7 @@ def test_traffic_flows_across_epochs():
             mgr.maybe_rotate()
         return received
 
-    results = run_program(2, prog, cluster=CLUSTER).results
+    results = run_job(prog, nranks=2, cluster=CLUSTER).results
     assert results[1] == [b"epoch0", b"epoch1", b"epoch2"]
 
 
@@ -98,7 +98,7 @@ def test_validation():
     from repro.des.process import ProcessFailed
 
     with pytest.raises(ProcessFailed):
-        run_program(1, prog, cluster=ClusterSpec(1, 1))
+        run_job(prog, nranks=1, cluster=ClusterSpec(1, 1))
 
 
 def test_config_carried_across_rotations():
@@ -112,5 +112,5 @@ def test_config_carried_across_rotations():
         mgr.maybe_rotate()
         return (mgr.comm.config.library, mgr.comm.config.nonce_strategy)
 
-    results = run_program(2, prog, cluster=CLUSTER).results
+    results = run_job(prog, nranks=2, cluster=CLUSTER).results
     assert all(r == ("cryptopp", "counter") for r in results)

@@ -3,19 +3,32 @@ guarantee exists for, exercised end-to-end."""
 
 import pytest
 
+from repro.api import run_job
 from repro.des.engine import DeadlockError
 from repro.des.process import ProcessFailed
 from repro.encmpi import EncryptedComm, SecurityConfig
 from repro.models.cpu import ClusterSpec
-from repro.simmpi import run_program
 from repro.simmpi.faults import (
     FaultAction,
     FaultInjector,
+    FaultPlan,
     corrupt_every_nth,
     target_route,
 )
 
 CLUSTER = ClusterSpec(nodes=2, cores_per_node=4)
+
+
+class _Injecting(FaultPlan):
+    """A FaultPlan handing its job one prepared injector, whose ledger
+    the test reads after the run."""
+
+    def __init__(self, injector):
+        super().__init__()
+        object.__setattr__(self, "injector", injector)
+
+    def build(self):
+        return self.injector
 
 
 def test_plain_mpi_silently_accepts_corruption():
@@ -29,7 +42,7 @@ def test_plain_mpi_silently_accepts_corruption():
             data, _status = ctx.comm.recv(0, 0)
             return data
 
-    res = run_program(2, prog, cluster=CLUSTER, fault_injector=injector)
+    res = run_job(prog, nranks=2, cluster=CLUSTER, faults=_Injecting(injector))
     assert res.results[1] != b"\x00" * 64  # corrupted...
     assert len(res.results[1]) == 64  # ...and accepted!
     assert injector.injected[FaultAction.CORRUPT] == 1
@@ -37,8 +50,7 @@ def test_plain_mpi_silently_accepts_corruption():
 
 def test_encrypted_mpi_rejects_corruption():
     """The same attack against AES-GCM framing raises in the receiver."""
-    injector = FaultInjector(target_route(0, 1, FaultAction.CORRUPT),
-                             corrupt_bit=200)
+    plan = FaultPlan(corrupt=1.0, src=0, dst=1, corrupt_bit=200)
 
     def prog(ctx):
         enc = EncryptedComm(ctx, SecurityConfig())
@@ -48,11 +60,11 @@ def test_encrypted_mpi_rejects_corruption():
             enc.recv(0, 0)
 
     with pytest.raises(ProcessFailed, match="AuthenticationError|tamper"):
-        run_program(2, prog, cluster=CLUSTER, fault_injector=injector)
+        run_job(prog, nranks=2, cluster=CLUSTER, faults=plan)
 
 
 def test_dropped_message_surfaces_as_hang():
-    injector = FaultInjector(target_route(0, 1, FaultAction.DROP))
+    plan = FaultPlan(drop=1.0, src=0, dst=1)
 
     def prog(ctx):
         if ctx.rank == 0:
@@ -61,13 +73,13 @@ def test_dropped_message_surfaces_as_hang():
             ctx.comm.recv(0, 0)
 
     with pytest.raises(DeadlockError):
-        run_program(2, prog, cluster=CLUSTER, fault_injector=injector)
+        run_job(prog, nranks=2, cluster=CLUSTER, faults=plan)
 
 
 def test_duplicate_detected_by_replay_guard():
     from repro.encmpi.replay import ReplayError, ReplayGuard, counter_of_nonce
 
-    injector = FaultInjector(target_route(0, 1, FaultAction.DUPLICATE))
+    plan = FaultPlan(duplicate=1.0, src=0, dst=1)
 
     def prog(ctx):
         enc = EncryptedComm(ctx, SecurityConfig(nonce_strategy="counter"))
@@ -85,7 +97,7 @@ def test_duplicate_detected_by_replay_guard():
                     outcomes.append("replay-blocked")
             return outcomes
 
-    res = run_program(2, prog, cluster=CLUSTER, fault_injector=injector)
+    res = run_job(prog, nranks=2, cluster=CLUSTER, faults=plan)
     assert res.results[1] == ["accepted", "replay-blocked"]
 
 
@@ -105,7 +117,7 @@ def test_corrupt_every_nth_policy():
                     bad += 1
             return bad
 
-    res = run_program(2, prog, cluster=CLUSTER, fault_injector=injector)
+    res = run_job(prog, nranks=2, cluster=CLUSTER, faults=_Injecting(injector))
     assert res.results[1] == 3  # messages 0, 3, 6
     assert injector.injected[FaultAction.CORRUPT] == 3
 

@@ -7,20 +7,19 @@ must surface as an ``auth_fail`` event and a duplicated one as a
 
 import pytest
 
+from repro.api import run_job
 from repro.crypto.errors import AuthenticationError
 from repro.encmpi import EncryptedComm, SecurityConfig
 from repro.encmpi.replay import ReplayError
 from repro.models.cpu import ClusterSpec
-from repro.simmpi import run_program
-from repro.simmpi.faults import FaultAction, FaultInjector, target_route
+from repro.simmpi.faults import FaultAction, FaultInjector, FaultPlan
 from repro.simmpi.tracing import TraceRecorder
 
 CLUSTER = ClusterSpec(nodes=2, cores_per_node=4)
 
 
 def test_corruption_emits_auth_fail_event():
-    injector = FaultInjector(target_route(0, 1, FaultAction.CORRUPT),
-                             corrupt_bit=300)
+    plan = FaultPlan(corrupt=1.0, src=0, dst=1, corrupt_bit=300)
     rec = TraceRecorder()
 
     def prog(ctx):
@@ -34,8 +33,7 @@ def test_corruption_emits_auth_fail_event():
         except AuthenticationError:
             return "rejected"
 
-    res = run_program(2, prog, cluster=CLUSTER, trace=rec,
-                      fault_injector=injector)
+    res = run_job(prog, nranks=2, cluster=CLUSTER, trace=rec, faults=plan)
     assert res.results == ["sent", "rejected"]
     (fail,) = rec.events_in("aead", "auth_fail")
     assert fail.rank == 1
@@ -49,7 +47,7 @@ def test_duplicate_emits_replay_drop_event():
     """With replay_window configured, the duplicated envelope is dropped
     by the EncryptedComm itself — no hand-rolled guard in the program —
     and the drop is visible in the trace."""
-    injector = FaultInjector(target_route(0, 1, FaultAction.DUPLICATE))
+    plan = FaultPlan(duplicate=1.0, src=0, dst=1)
     rec = TraceRecorder()
     config = SecurityConfig(nonce_strategy="counter", replay_window=16)
 
@@ -67,8 +65,7 @@ def test_duplicate_emits_replay_drop_event():
                 outcomes.append("replay-blocked")
         return outcomes
 
-    res = run_program(2, prog, cluster=CLUSTER, trace=rec,
-                      fault_injector=injector)
+    res = run_job(prog, nranks=2, cluster=CLUSTER, trace=rec, faults=plan)
     assert res.results[1] == ["accepted", "replay-blocked"]
     (drop,) = rec.events_in("aead", "replay_drop")
     assert drop.rank == 1
@@ -83,7 +80,7 @@ def test_duplicate_without_replay_window_is_accepted_twice():
     """The paper's threat model (no replay protection): both copies
     decrypt fine and no replay_drop event appears — the gap the
     replay_window option closes."""
-    injector = FaultInjector(target_route(0, 1, FaultAction.DUPLICATE))
+    plan = FaultPlan(duplicate=1.0, src=0, dst=1)
     rec = TraceRecorder()
     config = SecurityConfig(nonce_strategy="counter")  # replay_window=0
 
@@ -94,8 +91,7 @@ def test_duplicate_without_replay_window_is_accepted_twice():
             return None
         return [enc.recv(0, 0)[0] for _ in range(2)]
 
-    res = run_program(2, prog, cluster=CLUSTER, trace=rec,
-                      fault_injector=injector)
+    res = run_job(prog, nranks=2, cluster=CLUSTER, trace=rec, faults=plan)
     assert res.results[1] == [b"pay me twice", b"pay me twice"]
     assert not rec.events_in("aead", "replay_drop")
     assert len(rec.events_in("aead", "open")) == 2

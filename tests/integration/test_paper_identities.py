@@ -3,9 +3,9 @@ must hold through the full simulator stack (not just the models)."""
 
 import pytest
 
+from repro.api import run_job
 from repro.encmpi import CryptoPlan, EncryptedComm, SecurityConfig
 from repro.models.cpu import ClusterSpec
-from repro.simmpi import run_program
 from repro.util.units import KiB, MiB
 from repro.workloads.osu_collectives import collective_latency
 from repro.workloads.pingpong import pingpong_oneway_time
@@ -78,8 +78,8 @@ def test_real_crypto_mode_matches_modeled_timing():
 
         return prog
 
-    t_real = run_program(2, make("real"), cluster=SMALL).results[1]
-    t_model = run_program(2, make("modeled"), cluster=SMALL).results[1]
+    t_real = run_job(make("real"), nranks=2, cluster=SMALL).results[1]
+    t_model = run_job(make("modeled"), nranks=2, cluster=SMALL).results[1]
     assert t_real == pytest.approx(t_model, rel=1e-12)
 
 
@@ -92,8 +92,8 @@ def test_determinism_across_runs():
         ctx.comm.barrier()
         return ctx.now
 
-    a = run_program(8, prog, cluster=SMALL).results
-    b = run_program(8, prog, cluster=SMALL).results
+    a = run_job(prog, nranks=8, cluster=SMALL).results
+    b = run_job(prog, nranks=8, cluster=SMALL).results
     assert a == b
 
 
@@ -113,5 +113,5 @@ def test_scalability_settings_run():
         (16, ClusterSpec(4, 8)),
         (16, PAPER_CLUSTER),
     ):
-        res = run_program(nranks, prog, cluster=cluster)
+        res = run_job(prog, nranks=nranks, cluster=cluster)
         assert res.duration > 0

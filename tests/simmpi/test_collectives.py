@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.api import run_job
 from repro.models.cpu import ClusterSpec
-from repro.simmpi import run_program
 from repro.simmpi.collectives.common import (
     binomial_children,
     binomial_parent,
@@ -19,7 +19,7 @@ CLUSTER = ClusterSpec(nodes=4, cores_per_node=4)
 
 
 def _run(nranks, prog):
-    return run_program(nranks, prog, cluster=CLUSTER).results
+    return run_job(prog, nranks=nranks, cluster=CLUSTER).results
 
 
 # ---- helpers ---------------------------------------------------------------

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.api import run_job
 from repro.models.cpu import ClusterSpec
-from repro.simmpi import ANY_SOURCE, ANY_TAG, run_program
+from repro.simmpi import ANY_SOURCE, ANY_TAG
 
 CLUSTER = ClusterSpec(nodes=2, cores_per_node=4)
 
@@ -25,7 +26,7 @@ def test_split_into_even_odd_groups():
         roster = sub.allgather(bytes([ctx.rank]))
         return (sub.rank, sub.size, [b[0] for b in roster])
 
-    results = run_program(8, prog, cluster=CLUSTER).results
+    results = run_job(prog, nranks=8, cluster=CLUSTER).results
     evens = [r for r in range(8) if r % 2 == 0]
     odds = [r for r in range(8) if r % 2 == 1]
     for r in range(8):
@@ -42,7 +43,7 @@ def test_split_key_reorders_ranks():
         roster = sub.allgather(bytes([ctx.rank]))
         return [b[0] for b in roster]
 
-    results = run_program(4, prog, cluster=CLUSTER).results
+    results = run_job(prog, nranks=4, cluster=CLUSTER).results
     assert results[0] == [3, 2, 1, 0]
 
 
@@ -53,7 +54,7 @@ def test_split_undefined_color():
             return sub is None
         return sub.size
 
-    results = run_program(4, prog, cluster=CLUSTER).results
+    results = run_job(prog, nranks=4, cluster=CLUSTER).results
     assert results[0] is True
     assert results[1:] == [3, 3, 3]
 
@@ -70,7 +71,7 @@ def test_split_traffic_is_isolated():
         data, status = sub.recv(0, 5)
         return (data, status.source)
 
-    results = run_program(4, prog, cluster=CLUSTER).results
+    results = run_job(prog, nranks=4, cluster=CLUSTER).results
     assert results[1] == (b"group0", 0)
     assert results[3] == (b"group1", 0)
 
@@ -81,7 +82,7 @@ def test_nested_split():
         quarter = half.split(color=half.rank // 2)
         return (quarter.size, quarter.rank)
 
-    results = run_program(8, prog, cluster=CLUSTER).results
+    results = run_job(prog, nranks=8, cluster=CLUSTER).results
     assert all(size == 2 for size, _r in results)
     assert [r for _s, r in results] == [0, 1, 0, 1, 0, 1, 0, 1]
 
@@ -95,7 +96,7 @@ def test_split_collectives_work_in_groups():
         total = row.allreduce(vec, _sum_op)
         return int(np.frombuffer(total, np.int64)[0])
 
-    results = run_program(4, prog, cluster=CLUSTER).results
+    results = run_job(prog, nranks=4, cluster=CLUSTER).results
     assert results == [1, 1, 5, 5]
 
 
@@ -106,7 +107,7 @@ def test_split_validates_color():
         ctx.comm.split(color=-3)
 
     with pytest.raises(ProcessFailed):
-        run_program(2, prog, cluster=CLUSTER)
+        run_job(prog, nranks=2, cluster=CLUSTER)
 
 
 # ---- probe -----------------------------------------------------------------
@@ -125,7 +126,7 @@ def test_iprobe_peeks_without_consuming():
             assert ctx.comm.iprobe(0, 9) is None  # consumed
             return data
 
-    results = run_program(2, prog, cluster=CLUSTER).results
+    results = run_job(prog, nranks=2, cluster=CLUSTER).results
     assert results[1] == b"probe-me"
 
 
@@ -133,7 +134,7 @@ def test_iprobe_returns_none_when_empty():
     def prog(ctx):
         return ctx.comm.iprobe(ANY_SOURCE, ANY_TAG)
 
-    assert run_program(1, prog, cluster=ClusterSpec(1, 1)).results == [None]
+    assert run_job(prog, nranks=1, cluster=ClusterSpec(1, 1)).results == [None]
 
 
 def test_probe_blocks_until_arrival():
@@ -147,7 +148,7 @@ def test_probe_blocks_until_arrival():
             data, _status = ctx.comm.recv(status.source, 2)
             return (arrival >= 1e-3, data)
 
-    results = run_program(2, prog, cluster=CLUSTER).results
+    results = run_job(prog, nranks=2, cluster=CLUSTER).results
     assert results[1] == (True, b"late")
 
 
@@ -164,7 +165,7 @@ def test_reduce_scatter_pow2(nranks):
         out = ctx.comm.reduce_scatter(chunks, _sum_op)
         return int(np.frombuffer(out, np.int64)[0])
 
-    results = run_program(nranks, prog, cluster=CLUSTER).results
+    results = run_job(prog, nranks=nranks, cluster=CLUSTER).results
     # chunk i reduced over ranks: sum_r (10r + i)
     base = 10 * sum(range(nranks))
     assert results == [base + i * nranks for i in range(nranks)]
@@ -180,7 +181,7 @@ def test_reduce_scatter_nonpow2_fallback(nranks):
         out = ctx.comm.reduce_scatter(chunks, _sum_op)
         return int(np.frombuffer(out, np.int64)[0])
 
-    results = run_program(nranks, prog, cluster=CLUSTER).results
+    results = run_job(prog, nranks=nranks, cluster=CLUSTER).results
     base = sum(range(nranks))
     assert results == [base + i * nranks for i in range(nranks)]
 
@@ -192,7 +193,7 @@ def test_reduce_scatter_validates_chunk_count():
         ctx.comm.reduce_scatter([b"x"], _sum_op)
 
     with pytest.raises(ProcessFailed):
-        run_program(2, prog, cluster=CLUSTER)
+        run_job(prog, nranks=2, cluster=CLUSTER)
 
 
 @pytest.mark.parametrize("nranks", [1, 2, 5, 8])
@@ -202,5 +203,5 @@ def test_scan_inclusive_prefix(nranks):
         out = ctx.comm.scan(vec, _sum_op)
         return int(np.frombuffer(out, np.int64)[0])
 
-    results = run_program(nranks, prog, cluster=CLUSTER).results
+    results = run_job(prog, nranks=nranks, cluster=CLUSTER).results
     assert results == [sum(range(1, r + 2)) for r in range(nranks)]

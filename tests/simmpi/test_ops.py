@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.api import run_job
 from repro.models.cpu import ClusterSpec
-from repro.simmpi import ops, run_program
+from repro.simmpi import ops
 
 CLUSTER = ClusterSpec(2, 4)
 
@@ -71,5 +72,5 @@ def test_ops_through_allreduce():
             list(ops.from_array(peak, np.float64)),
         )
 
-    results = run_program(4, prog, cluster=CLUSTER).results
+    results = run_job(prog, nranks=4, cluster=CLUSTER).results
     assert all(r == ([6.0, 60.0], [3.0, 30.0]) for r in results)

@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.api import run_job
 from repro.des.engine import DeadlockError
 from repro.des.process import ProcessFailed
 from repro.models.cpu import ClusterSpec, TWO_NODE_CLUSTER
-from repro.simmpi import ANY_SOURCE, ANY_TAG, run_program
+from repro.simmpi import ANY_SOURCE, ANY_TAG
 from repro.util.units import KiB, MiB
 
 SMALL_CLUSTER = ClusterSpec(nodes=2, cores_per_node=4)
@@ -25,7 +26,7 @@ def test_blocking_send_recv_delivers_payload():
             assert status.count == len(payload)
             return data
 
-    res = run_program(2, prog, cluster=TWO_NODE_CLUSTER)
+    res = run_job(prog, nranks=2, cluster=TWO_NODE_CLUSTER)
     assert res.results[1] == payload
 
 
@@ -35,7 +36,7 @@ def test_send_to_self():
         ctx.comm.send(b"me", 0, tag=5)
         return req.wait()
 
-    res = run_program(1, prog, cluster=ClusterSpec(1, 2))
+    res = run_job(prog, nranks=1, cluster=ClusterSpec(1, 2))
     assert res.results[0] == b"me"
 
 
@@ -46,7 +47,7 @@ def test_any_source_any_tag():
             return (data, status.source, status.tag)
         ctx.comm.send(b"from1", 0, tag=42)
 
-    res = run_program(2, prog, cluster=TWO_NODE_CLUSTER)
+    res = run_job(prog, nranks=2, cluster=TWO_NODE_CLUSTER)
     assert res.results[0] == (b"from1", 1, 42)
 
 
@@ -63,7 +64,7 @@ def test_tag_selectivity():
             one, _status = ctx.comm.recv(0, 1)
             return (one, two)
 
-    res = run_program(2, prog, cluster=TWO_NODE_CLUSTER)
+    res = run_job(prog, nranks=2, cluster=TWO_NODE_CLUSTER)
     assert res.results[1] == (b"one", b"two")
 
 
@@ -79,7 +80,7 @@ def test_non_overtaking_same_tag():
             got = [ctx.comm.recv(0, 0)[0][0] for _ in range(n)]
             return got
 
-    res = run_program(2, prog, cluster=TWO_NODE_CLUSTER)
+    res = run_job(prog, nranks=2, cluster=TWO_NODE_CLUSTER)
     assert res.results[1] == list(range(10))
 
 
@@ -95,7 +96,7 @@ def test_mixed_sizes_non_overtaking():
             second, _stat = ctx.comm.recv(0, 0)
             return (len(first), len(second))
 
-    res = run_program(2, prog, cluster=TWO_NODE_CLUSTER)
+    res = run_job(prog, nranks=2, cluster=TWO_NODE_CLUSTER)
     assert res.results[1] == (256 * KiB, 1)
 
 
@@ -109,7 +110,7 @@ def test_isend_irecv_waitall():
             values = ctx.comm.waitall(reqs)
             return [v[0] for v in values]
 
-    res = run_program(2, prog, cluster=TWO_NODE_CLUSTER)
+    res = run_job(prog, nranks=2, cluster=TWO_NODE_CLUSTER)
     assert res.results[1] == [0, 1, 2, 3, 4]
 
 
@@ -123,7 +124,7 @@ def test_request_completed_flag():
             return data
         ctx.comm.send(b"done", 0, tag=0)
 
-    res = run_program(2, prog, cluster=TWO_NODE_CLUSTER)
+    res = run_job(prog, nranks=2, cluster=TWO_NODE_CLUSTER)
     assert res.results[0] == b"done"
 
 
@@ -135,7 +136,7 @@ def test_sendrecv_exchanges_without_deadlock():
         )
         return data
 
-    res = run_program(2, prog, cluster=TWO_NODE_CLUSTER)
+    res = run_job(prog, nranks=2, cluster=TWO_NODE_CLUSTER)
     assert res.results == [b"from1", b"from0"]
 
 
@@ -150,7 +151,7 @@ def test_head_to_head_rendezvous_sends_deadlock():
         ctx.comm.recv(other, 0)
 
     with pytest.raises((DeadlockError, ProcessFailed)):
-        run_program(2, prog, cluster=TWO_NODE_CLUSTER)
+        run_job(prog, nranks=2, cluster=TWO_NODE_CLUSTER)
 
 
 def test_eager_sends_do_not_deadlock_head_to_head():
@@ -162,7 +163,7 @@ def test_eager_sends_do_not_deadlock_head_to_head():
         data, _status = ctx.comm.recv(other, 0)
         return data
 
-    res = run_program(2, prog, cluster=TWO_NODE_CLUSTER)
+    res = run_job(prog, nranks=2, cluster=TWO_NODE_CLUSTER)
     assert res.results == [b"tiny", b"tiny"]
 
 
@@ -181,7 +182,7 @@ def test_rendezvous_waits_for_receiver():
             data, _status = ctx.comm.recv(0, 0)
             times["recv_done"] = ctx.now
 
-    run_program(2, prog, cluster=TWO_NODE_CLUSTER)
+    run_job(prog, nranks=2, cluster=TWO_NODE_CLUSTER)
     # The sender was held up by the late receiver: its send took at
     # least the receiver's 5 ms delay.
     assert times["send_done"] >= 5e-3
@@ -196,7 +197,7 @@ def test_eager_send_returns_before_receiver_posts():
         ctx.compute(5e-3)
         ctx.comm.recv(0, 0)
 
-    res = run_program(2, prog, cluster=TWO_NODE_CLUSTER)
+    res = run_job(prog, nranks=2, cluster=TWO_NODE_CLUSTER)
     assert res.results[0] < 1e-3  # returned long before the 5 ms
 
 
@@ -205,19 +206,19 @@ def test_validation_errors():
         ctx.comm.send(b"x", 5)
 
     with pytest.raises(ProcessFailed):
-        run_program(2, bad_peer, cluster=TWO_NODE_CLUSTER)
+        run_job(bad_peer, nranks=2, cluster=TWO_NODE_CLUSTER)
 
     def bad_tag(ctx):
         ctx.comm.send(b"x", 0, tag=-3)
 
     with pytest.raises(ProcessFailed):
-        run_program(2, bad_tag, cluster=TWO_NODE_CLUSTER)
+        run_job(bad_tag, nranks=2, cluster=TWO_NODE_CLUSTER)
 
     def bad_payload(ctx):
         ctx.comm.send(12345, 0)
 
     with pytest.raises(ProcessFailed):
-        run_program(2, bad_payload, cluster=TWO_NODE_CLUSTER)
+        run_job(bad_payload, nranks=2, cluster=TWO_NODE_CLUSTER)
 
 
 def test_recv_without_send_is_deadlock():
@@ -226,7 +227,7 @@ def test_recv_without_send_is_deadlock():
             ctx.comm.recv(1, 0)
 
     with pytest.raises(DeadlockError):
-        run_program(2, prog, cluster=TWO_NODE_CLUSTER)
+        run_job(prog, nranks=2, cluster=TWO_NODE_CLUSTER)
 
 
 def test_intra_node_faster_than_inter_node():
@@ -245,6 +246,6 @@ def test_intra_node_faster_than_inter_node():
 
     spec = ClusterSpec(nodes=2, cores_per_node=4)
     # ranks 0-3 on node 0, 4-7 on node 1
-    intra = run_program(8, make(0, 1), cluster=spec).results[0]
-    inter = run_program(8, make(0, 4), cluster=spec).results[0]
+    intra = run_job(make(0, 1), nranks=8, cluster=spec).results[0]
+    inter = run_job(make(0, 4), nranks=8, cluster=spec).results[0]
     assert intra < inter

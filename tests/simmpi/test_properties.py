@@ -3,8 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import run_job
 from repro.models.cpu import ClusterSpec
-from repro.simmpi import run_program
 
 CLUSTER = ClusterSpec(nodes=2, cores_per_node=4)
 
@@ -30,7 +30,7 @@ def test_fifo_matching_for_any_size_sequence(sizes):
                 seen.append(data[0])
             return seen
 
-    res = run_program(2, prog, cluster=CLUSTER)
+    res = run_job(prog, nranks=2, cluster=CLUSTER)
     assert res.results[1] == list(range(len(sizes)))
 
 
@@ -50,7 +50,7 @@ def test_alltoall_is_a_transpose(nranks, payloads):
         ]
         return ctx.comm.alltoall(chunks)
 
-    results = run_program(nranks, prog, cluster=ClusterSpec(2, 4)).results
+    results = run_job(prog, nranks=nranks, cluster=ClusterSpec(2, 4)).results
     for r in range(nranks):
         for s in range(nranks):
             expected = bytes([s, r]) + payloads[(s + r) % len(payloads)]
@@ -70,7 +70,7 @@ def test_bcast_delivers_exact_payload(nranks, payload, root):
         data = payload if ctx.rank == root else None
         return ctx.comm.bcast(data, root, nbytes=len(payload))
 
-    results = run_program(nranks, prog, cluster=ClusterSpec(2, 4)).results
+    results = run_job(prog, nranks=nranks, cluster=ClusterSpec(2, 4)).results
     assert all(r == payload for r in results)
 
 
@@ -86,7 +86,7 @@ def test_allgather_matches_naive_reference(nranks, chunk):
     def prog(ctx):
         return ctx.comm.allgather(bytes([ctx.rank]) + chunk)
 
-    results = run_program(nranks, prog, cluster=ClusterSpec(2, 4)).results
+    results = run_job(prog, nranks=nranks, cluster=ClusterSpec(2, 4)).results
     expected = [bytes([s]) + chunk for s in range(nranks)]
     assert all(r == expected for r in results)
 
@@ -109,7 +109,7 @@ def test_reduce_matches_naive_reference(nranks, root, size):
     def prog(ctx):
         return ctx.comm.reduce(bytes([ctx.rank + 1]) * size, _xor, root=root)
 
-    results = run_program(nranks, prog, cluster=ClusterSpec(2, 4)).results
+    results = run_job(prog, nranks=nranks, cluster=ClusterSpec(2, 4)).results
     expected = bytes([0]) * size
     for r in range(nranks):
         expected = _xor(expected, bytes([r + 1]) * size)
@@ -131,7 +131,7 @@ def test_gather_matches_naive_reference(nranks, root, payloads):
     def prog(ctx):
         return ctx.comm.gather(payloads[ctx.rank % len(payloads)], root=root)
 
-    results = run_program(nranks, prog, cluster=ClusterSpec(2, 4)).results
+    results = run_job(prog, nranks=nranks, cluster=ClusterSpec(2, 4)).results
     expected = [payloads[r % len(payloads)] for r in range(nranks)]
     assert results[root] == expected
     assert all(results[r] is None for r in range(nranks) if r != root)
@@ -153,6 +153,6 @@ def test_makespan_is_deterministic(seed_sizes):
                 ctx.comm.send(b"\x00" * s, other, tag=2)
         return ctx.now
 
-    a = run_program(2, prog, cluster=CLUSTER).duration
-    b = run_program(2, prog, cluster=CLUSTER).duration
+    a = run_job(prog, nranks=2, cluster=CLUSTER).duration
+    b = run_job(prog, nranks=2, cluster=CLUSTER).duration
     assert a == b

@@ -4,10 +4,10 @@ failures, and escalation."""
 
 import pytest
 
+from repro.api import run_job
 from repro.encmpi import CryptoPlan, EncryptedComm, SecurityConfig
 from repro.models.cpu import ClusterSpec
-from repro.simmpi import run_program
-from repro.simmpi.faults import FaultAction, FaultInjector, FaultPlan, target_route
+from repro.simmpi.faults import FaultAction, FaultInjector, FaultPlan
 from repro.simmpi.resilience import (
     ResilienceExhausted,
     ResiliencePolicy,
@@ -19,6 +19,17 @@ CLUSTER = ClusterSpec(nodes=2, cores_per_node=4)
 TAG_DATA = 5
 
 POLICY = ResiliencePolicy(max_retries=4, timeout=1e-3)
+
+
+class _PolicyPlan(FaultPlan):
+    """A FaultPlan whose injector runs one hand-written policy."""
+
+    def __init__(self, policy):
+        super().__init__()
+        object.__setattr__(self, "policy", policy)
+
+    def build(self):
+        return FaultInjector(self.policy)
 
 
 # -- policy values -------------------------------------------------------------
@@ -97,20 +108,20 @@ def _pingpong(iters=4, payload=b"\xab" * 64):
 
 
 def _drop_first_n(n):
-    """Injector dropping the first *n* envelopes it sees."""
+    """Plan dropping the first *n* envelopes its job sees."""
     seen = {"n": 0}
 
     def policy(env):
         seen["n"] += 1
         return FaultAction.DROP if seen["n"] <= n else FaultAction.DELIVER
 
-    return FaultInjector(policy)
+    return _PolicyPlan(policy)
 
 
 def test_dropped_message_is_retransmitted():
-    res = run_program(
-        2, _pingpong(), cluster=CLUSTER,
-        fault_injector=_drop_first_n(1), resilience=POLICY,
+    res = run_job(
+        _pingpong(), nranks=2, cluster=CLUSTER,
+        faults=_drop_first_n(1), resilience=POLICY,
     )
     assert res.results[0] == res.results[1] == [b"\xab" * 64] * 4
     rep = res.resilience
@@ -120,10 +131,10 @@ def test_dropped_message_is_retransmitted():
 
 
 def test_retransmit_costs_at_least_the_timeout():
-    clean = run_program(2, _pingpong(), cluster=CLUSTER, resilience=POLICY)
-    faulty = run_program(
-        2, _pingpong(), cluster=CLUSTER,
-        fault_injector=_drop_first_n(1), resilience=POLICY,
+    clean = run_job(_pingpong(), nranks=2, cluster=CLUSTER, resilience=POLICY)
+    faulty = run_job(
+        _pingpong(), nranks=2, cluster=CLUSTER,
+        faults=_drop_first_n(1), resilience=POLICY,
     )
     # the first retransmission waits >= retry_delay(1) past the expected
     # delivery; the makespan must reflect that (timeout-boundary check)
@@ -132,10 +143,10 @@ def test_retransmit_costs_at_least_the_timeout():
 
 def test_consecutive_drops_follow_backoff_schedule():
     pol = ResiliencePolicy(max_retries=4, timeout=1e-3, backoff="exponential")
-    clean = run_program(2, _pingpong(iters=1), cluster=CLUSTER, resilience=pol)
-    faulty = run_program(
-        2, _pingpong(iters=1), cluster=CLUSTER,
-        fault_injector=_drop_first_n(3), resilience=pol,
+    clean = run_job(_pingpong(iters=1), nranks=2, cluster=CLUSTER, resilience=pol)
+    faulty = run_job(
+        _pingpong(iters=1), nranks=2, cluster=CLUSTER,
+        faults=_drop_first_n(3), resilience=pol,
     )
     # three drops of the same flight wait timeout, 2*timeout, 4*timeout
     waited = sum(pol.retry_schedule()[:3])
@@ -145,9 +156,9 @@ def test_consecutive_drops_follow_backoff_schedule():
 
 def test_retry_and_ack_events_recorded():
     rec = TraceRecorder()
-    run_program(
-        2, _pingpong(iters=2), cluster=CLUSTER, trace=rec,
-        fault_injector=_drop_first_n(1), resilience=POLICY,
+    run_job(
+        _pingpong(iters=2), nranks=2, cluster=CLUSTER, trace=rec,
+        faults=_drop_first_n(1), resilience=POLICY,
     )
     (retry,) = rec.events_in("transport", "retry")
     assert retry.data["attempt"] == 1
@@ -161,7 +172,7 @@ def test_retry_and_ack_events_recorded():
 
 def test_policy_unset_keeps_counters_and_events_silent():
     rec = TraceRecorder()
-    run_program(2, _pingpong(iters=2), cluster=CLUSTER, trace=rec)
+    run_job(_pingpong(iters=2), nranks=2, cluster=CLUSTER, trace=rec)
     for kind in ("retry", "nack", "ack", "gave_up"):
         assert rec.events_in("transport", kind) == []
     for r in (0, 1):
@@ -183,9 +194,9 @@ def test_fifo_order_survives_retransmission():
             return None
         return [ctx.comm.recv(0, TAG_DATA)[0][0] for _ in range(4)]
 
-    res = run_program(
-        2, program, cluster=CLUSTER,
-        fault_injector=_drop_first_n(1), resilience=POLICY,
+    res = run_job(
+        program, nranks=2, cluster=CLUSTER,
+        faults=_drop_first_n(1), resilience=POLICY,
     )
     assert res.results[1] == [0, 1, 2, 3]
 
@@ -226,14 +237,14 @@ def _corrupt_first_n(n):
         seen["n"] += 1
         return FaultAction.CORRUPT if seen["n"] <= n else FaultAction.DELIVER
 
-    return FaultInjector(policy)
+    return _PolicyPlan(policy)
 
 
 def test_corrupted_frame_is_nacked_and_resealed():
     rec = TraceRecorder()
-    res = run_program(
-        2, _enc_pingpong(), cluster=CLUSTER, trace=rec,
-        fault_injector=_corrupt_first_n(1), resilience=POLICY,
+    res = run_job(
+        _enc_pingpong(), nranks=2, cluster=CLUSTER, trace=rec,
+        faults=_corrupt_first_n(1), resilience=POLICY,
         sanitize=True,  # nonce ledger must stay clean across reseals
     )
     assert res.results[0] == res.results[1] == [b"\xcd" * 64] * 4
@@ -250,9 +261,9 @@ def test_corrupted_frame_is_nacked_and_resealed():
 
 def test_reseal_uses_a_fresh_nonce():
     rec = TraceRecorder()
-    run_program(
-        2, _enc_pingpong(iters=2), cluster=CLUSTER, trace=rec,
-        fault_injector=_corrupt_first_n(1), resilience=POLICY,
+    run_job(
+        _enc_pingpong(iters=2), nranks=2, cluster=CLUSTER, trace=rec,
+        faults=_corrupt_first_n(1), resilience=POLICY,
         sanitize=True,
     )
     # counter nonces are unique per seal and the armed sanitizer raises
@@ -272,11 +283,11 @@ def test_replay_protection_still_works_under_resilience():
             seen["n"] += 1
             return FaultAction.DUPLICATE if seen["n"] == 1 else FaultAction.DELIVER
 
-        return FaultInjector(policy)
+        return _PolicyPlan(policy)
 
-    res = run_program(
-        2, _enc_pingpong(), cluster=CLUSTER,
-        fault_injector=dup_policy(), resilience=POLICY, sanitize=True,
+    res = run_job(
+        _enc_pingpong(), nranks=2, cluster=CLUSTER,
+        faults=dup_policy(), resilience=POLICY, sanitize=True,
     )
     assert res.results[0] == res.results[1] == [b"\xcd" * 64] * 4
     assert res.resilience.gave_up == 0
@@ -286,15 +297,15 @@ def test_replay_protection_still_works_under_resilience():
 
 
 def _always_drop_route():
-    return FaultInjector(target_route(0, 1, FaultAction.DROP))
+    return FaultPlan(drop=1.0, src=0, dst=1)
 
 
 def test_escalation_fail_raises_exhausted():
     pol = ResiliencePolicy(max_retries=2, timeout=1e-3, escalation="fail")
     with pytest.raises(Exception) as excinfo:
-        run_program(
-            2, _pingpong(iters=1), cluster=CLUSTER,
-            fault_injector=_always_drop_route(), resilience=pol,
+        run_job(
+            _pingpong(iters=1), nranks=2, cluster=CLUSTER,
+            faults=_always_drop_route(), resilience=pol,
         )
     # surfaces either directly (engine callback) or via ProcessFailed
     err = excinfo.value
@@ -307,9 +318,9 @@ def test_escalation_plain_fallback_completes():
     pol = ResiliencePolicy(
         max_retries=2, timeout=1e-3, escalation="plain_fallback"
     )
-    res = run_program(
-        2, _pingpong(iters=2), cluster=CLUSTER,
-        fault_injector=_always_drop_route(), resilience=pol,
+    res = run_job(
+        _pingpong(iters=2), nranks=2, cluster=CLUSTER,
+        faults=_always_drop_route(), resilience=pol,
     )
     # the fallback copy bypasses the injector, so the data arrives
     assert res.results[1] == [b"\xab" * 64] * 2
@@ -328,9 +339,9 @@ def test_escalation_drop_abandons_without_error():
             ctx.comm.send(b"\x01" * 16, 1, tag=TAG_DATA)
         return ctx.rank
 
-    res = run_program(
-        2, program, cluster=CLUSTER,
-        fault_injector=_always_drop_route(), resilience=pol,
+    res = run_job(
+        program, nranks=2, cluster=CLUSTER,
+        faults=_always_drop_route(), resilience=pol,
     )
     assert res.results == [0, 1]
     rep = res.resilience
@@ -346,9 +357,9 @@ def test_faulty_resilient_run_is_deterministic():
 
     def one():
         rec = TraceRecorder()
-        res = run_program(
-            2, _enc_pingpong(iters=8), cluster=CLUSTER, trace=rec,
-            fault_injector=plan.build(), resilience=POLICY, sanitize=True,
+        res = run_job(
+            _enc_pingpong(iters=8), nranks=2, cluster=CLUSTER, trace=rec,
+            faults=plan, resilience=POLICY, sanitize=True,
         )
         return res.duration, res.resilience, rec.digest()
 

@@ -14,11 +14,11 @@ import hashlib
 import pytest
 
 import repro.api as api
+from repro.api import run_job
 from repro import defaults
 from repro.des.options import EngineOptions
 from repro.experiments import goldens
 from repro.models.cpu import parse_cluster_spec
-from repro.simmpi.world import run_program
 
 CLUSTER = parse_cluster_spec("2x4")
 
@@ -70,9 +70,9 @@ def _co_pingpong(ctx):
 
 
 def test_generator_workload_identical_on_both_runtimes():
-    a = run_program(2, _co_pingpong, cluster=CLUSTER, engine=_force("threads"))
-    b = run_program(2, _co_pingpong, cluster=CLUSTER,
-                    engine=_force("coroutines"))
+    a = run_job(_co_pingpong, nranks=2, cluster=CLUSTER, engine=_force("threads"))
+    b = run_job(_co_pingpong, nranks=2, cluster=CLUSTER,
+                engine=_force("coroutines"))
     assert a.results == b.results
     assert a.duration == b.duration
     assert a.spans == b.spans
@@ -82,10 +82,10 @@ def test_generator_and_plain_spellings_agree():
     """The blocking spelling is derived from the generator one —
     run_blocking interprets the same generators — so a plain-function
     rank on threads must land on the same virtual times."""
-    plain = run_program(2, _pingpong, cluster=CLUSTER,
-                        engine=_force("threads"))
-    gen = run_program(2, _co_pingpong, cluster=CLUSTER,
-                      engine=_force("coroutines"))
+    plain = run_job(_pingpong, nranks=2, cluster=CLUSTER,
+                    engine=_force("threads"))
+    gen = run_job(_co_pingpong, nranks=2, cluster=CLUSTER,
+                  engine=_force("coroutines"))
     assert plain.results == gen.results
     assert plain.duration == gen.duration
 
@@ -119,8 +119,8 @@ def _co_enc_exchange(ctx):
 
 def test_strict_coroutines_rejects_plain_rank_functions():
     with pytest.raises(TypeError, match="_pingpong"):
-        run_program(2, _pingpong, cluster=CLUSTER,
-                    engine=_force("coroutines"))
+        run_job(_pingpong, nranks=2, cluster=CLUSTER,
+                engine=_force("coroutines"))
 
 
 def test_max_ranks_ceiling_is_enforced():
@@ -129,15 +129,15 @@ def test_max_ranks_ceiling_is_enforced():
         yield
 
     with pytest.raises(ValueError, match="4096"):
-        run_program(4097, never_runs, cluster=CLUSTER,
-                    engine=_force("coroutines"))
+        run_job(never_runs, nranks=4097, cluster=CLUSTER,
+                engine=_force("coroutines"))
 
 
 def test_auto_runtime_picks_by_program_kind():
     # generator program on auto: must run (coroutines), same answer
-    auto = run_program(2, _co_pingpong, cluster=CLUSTER)
-    threads = run_program(2, _co_pingpong, cluster=CLUSTER,
-                          engine=_force("threads"))
+    auto = run_job(_co_pingpong, nranks=2, cluster=CLUSTER)
+    threads = run_job(_co_pingpong, nranks=2, cluster=CLUSTER,
+                      engine=_force("threads"))
     assert auto.duration == threads.duration
 
 

@@ -4,15 +4,15 @@ import json
 
 import pytest
 
+from repro.api import run_job
 from repro.models.cpu import ClusterSpec
-from repro.simmpi import run_program
 from repro.simmpi.tracing import CommTrace, TraceRecorder, resolve_trace
 
 CLUSTER = ClusterSpec(nodes=2, cores_per_node=4)
 
 
 def _traced(prog, nranks=2):
-    res = run_program(nranks, prog, cluster=CLUSTER, trace=True)
+    res = run_job(prog, nranks=nranks, cluster=CLUSTER, trace=True)
     assert res.trace is not None
     return res.trace
 
@@ -103,7 +103,7 @@ def test_no_trace_by_default():
     def prog(ctx):
         return None
 
-    res = run_program(1, prog, cluster=ClusterSpec(1, 1))
+    res = run_job(prog, nranks=1, cluster=ClusterSpec(1, 1))
     assert res.trace is None
 
 
@@ -176,7 +176,7 @@ def test_p2p_and_collective_byte_accounting_agree():
 
 
 def _recorded(prog, nranks=2, **kw):
-    res = run_program(nranks, prog, cluster=CLUSTER, trace="events", **kw)
+    res = run_job(prog, nranks=nranks, cluster=CLUSTER, trace="events", **kw)
     assert isinstance(res.trace, TraceRecorder)
     return res.trace
 
@@ -271,9 +271,9 @@ def test_recorder_cannot_span_two_jobs():
     def prog(ctx):
         return None
 
-    run_program(1, prog, cluster=ClusterSpec(1, 1), trace=rec)
+    run_job(prog, nranks=1, cluster=ClusterSpec(1, 1), trace=rec)
     with pytest.raises(RuntimeError, match="fresh recorder"):
-        run_program(1, prog, cluster=ClusterSpec(1, 1), trace=rec)
+        run_job(prog, nranks=1, cluster=ClusterSpec(1, 1), trace=rec)
 
 
 def test_resolve_trace_contract():

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.api import run_job
 from repro.models.cpu import ClusterSpec, TWO_NODE_CLUSTER
 from repro.models.network import ethernet_10g
-from repro.simmpi import run_program
 from repro.simmpi.transport import FLOW_CUTOFF
 from repro.util.units import KiB, MiB
 
@@ -30,8 +30,8 @@ def test_wire_bytes_drive_timing_not_payload():
 
         return prog
 
-    run_program(2, make(0), cluster=TWO_NODE_CLUSTER)
-    run_program(2, make(64 * KiB), cluster=TWO_NODE_CLUSTER)
+    run_job(make(0), nranks=2, cluster=TWO_NODE_CLUSTER)
+    run_job(make(64 * KiB), nranks=2, cluster=TWO_NODE_CLUSTER)
     assert times[64 * KiB] > times[0]
 
 
@@ -56,7 +56,7 @@ def test_route_fifo_under_reordering_pressure():
                 order.append(data[0])
             return order
 
-    res = run_program(2, prog, cluster=TWO_NODE_CLUSTER)
+    res = run_job(prog, nranks=2, cluster=TWO_NODE_CLUSTER)
     assert res.results[1] == list(range(len(sizes)))
 
 
@@ -81,8 +81,8 @@ def test_concurrent_pairs_slower_than_isolated_large():
     spec = ClusterSpec(nodes=2, cores_per_node=4)
     # placement: ranks 0-1 node0? block placement of 4 ranks over 2 nodes
     # puts 0,1 on node 0 and 2,3 on node 1 — senders share node 0's NIC.
-    t1 = run_program(2, one_pair, cluster=spec).results[0]
-    res2 = run_program(4, two_pairs, cluster=spec).results
+    t1 = run_job(one_pair, nranks=2, cluster=spec).results[0]
+    res2 = run_job(two_pairs, nranks=4, cluster=spec).results
     t2 = max(r for r in res2 if r is not None)
     assert t2 > 1.5 * t1
 
@@ -103,7 +103,7 @@ def test_nic_engine_serializes_small_message_injection():
         peer = ctx.rank - senders
         ctx.comm.waitall([ctx.comm.irecv(peer, 0) for _ in range(n_msgs)])
 
-    res = run_program(8, prog, cluster=spec).results
+    res = run_job(prog, nranks=8, cluster=spec).results
     concurrent = max(r for r in res[:4])
 
     def prog_single(ctx):
@@ -114,7 +114,7 @@ def test_nic_engine_serializes_small_message_injection():
             return ctx.now - t0
         ctx.comm.waitall([ctx.comm.irecv(0, 0) for _ in range(n_msgs)])
 
-    single = run_program(2, prog_single, cluster=spec).results[0]
+    single = run_job(prog_single, nranks=2, cluster=spec).results[0]
     assert concurrent >= single  # sharing never helps injection
 
 
@@ -126,5 +126,5 @@ def test_self_message_stays_cheap():
         req.wait()
         return ctx.now - t0
 
-    res = run_program(1, prog, cluster=ClusterSpec(1, 2))
+    res = run_job(prog, nranks=1, cluster=ClusterSpec(1, 2))
     assert res.results[0] < 10e-6
